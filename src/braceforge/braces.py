@@ -22,10 +22,10 @@ from .errors import (
 from .groups import (
     FiniteGroup,
     Perm,
+    _isomorphisms,
     enumeration_bound,
     identity_perm,
     subgroups,
-    subset_key,
     validate_group,
 )
 
@@ -168,14 +168,10 @@ def star(B: SkewBrace, a: int, b: int) -> int:
     return B.plus(B.lam[a][b], B.neg(b))
 
 
-def additive_closure(B: SkewBrace, seed: Iterable[int]) -> frozenset[int]:
-    return B.add.closure(seed)
-
-
 def star_span(B: SkewBrace, X: Iterable[int], Y: Iterable[int]) -> frozenset[int]:
     """Additive subgroup generated by all x*y with x in X, y in Y."""
     gens = {star(B, x, y) for x in X for y in Y}
-    return additive_closure(B, gens)
+    return B.add.closure(gens)
 
 
 def kernel_lambda(B: SkewBrace) -> frozenset[int]:
@@ -238,18 +234,6 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
     flags = SubsetFlags(subbrace, left_ideal, ideal)
     B._cache["subset_flags"][key] = flags
     return flags
-
-
-def is_subbrace(B: SkewBrace, S: Iterable[int]) -> bool:
-    return classify_subset(B, S).subbrace
-
-
-def is_left_ideal(B: SkewBrace, S: Iterable[int]) -> bool:
-    return classify_subset(B, S).left_ideal
-
-
-def is_ideal(B: SkewBrace, S: Iterable[int]) -> bool:
-    return classify_subset(B, S).ideal
 
 
 def subbraces(B: SkewBrace, *, bound: int | None = None) -> list[frozenset[int]]:
@@ -389,69 +373,20 @@ def is_isomorphic(B1: SkewBrace, B2: SkewBrace, *,
                   bound: int | None = None) -> Perm | None:
     """A bijection preserving both operations, or None.
 
-    Backtracks on images of an additive generating set, pruning candidates by
-    the (additive order, multiplicative order, lambda-orbit size) signature.
+    The first additive isomorphism, pruned by the (additive order,
+    multiplicative order, lambda-orbit size) signature, that also preserves
+    the product.
     """
     limit = bound if bound is not None else enumeration_bound()
     if B1.order > limit:
         raise BoundExceeded("brace order", B1.order, limit)
     if B1.order != B2.order:
         return None
-    n = B1.order
     sig1 = [_brace_signature(B1, a) for a in B1.elements()]
     sig2 = [_brace_signature(B2, a) for a in B2.elements()]
     if sorted(sig1) != sorted(sig2):
         return None
-    gens = []
-    have = frozenset({0})
-    for g in B1.elements():
-        if g not in have:
-            gens.append(g)
-            have = B1.add.closure(have | {g})
-            if len(have) == n:
-                break
-    if not gens:
-        return identity_perm(1)
-    candidates = [[h for h in B2.elements() if sig2[h] == sig1[g]] for g in gens]
-
-    def build(images: Sequence[int]) -> Perm | None:
-        mapping: list[int | None] = [None] * n
-        mapping[0] = 0
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            fx = mapping[x]
-            for g, h in zip(gens, images):
-                y = B1.plus(x, g)
-                fy = B2.plus(fx, h)
-                if mapping[y] is None:
-                    mapping[y] = fy
-                    queue.append(y)
-        if any(v is None for v in mapping) or len(set(mapping)) != n:
-            return None
-        for a in range(n):
-            ma = mapping[a]
-            for b in range(n):
-                mb = mapping[b]
-                if mapping[B1.plus(a, b)] != B2.plus(ma, mb):
-                    return None
-                if mapping[B1.times(a, b)] != B2.times(ma, mb):
-                    return None
-        return tuple(mapping)  # type: ignore[arg-type]
-
-    def descend(k: int, images: list[int]) -> Perm | None:
-        if k == len(gens):
-            return build(images)
-        for h in candidates[k]:
-            images.append(h)
-            got = descend(k + 1, images)
-            images.pop()
-            if got is not None:
-                return got
-        return None
-
-    return descend(0, [])
-
-
-def canonical_subsets(sets: Iterable[Iterable[int]]) -> list[frozenset[int]]:
-    return sorted((frozenset(s) for s in sets), key=subset_key)
+    m1, m2 = B1.mul.table, B2.mul.table
+    return next((f for f in _isomorphisms(B1.add, B2.add, sig1, sig2)
+                 if all(f[m1[a][b]] == m2[f[a]][f[b]]
+                        for a in B1.elements() for b in B1.elements())), None)

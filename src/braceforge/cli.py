@@ -1,8 +1,9 @@
 """Batch command-line frontend: census, dossiers, theorem sweeps, decompositions.
 
-Exit codes: 0 pass, 2 missing catalog, 3 bound exceeded, 4 invalid input,
-5 theorem violation, 6 not soluble, 1 internal error.  All output is
-deterministic; --jobs only changes scheduling, never bytes.
+Exit codes: 0 pass, 2 missing catalog, 3 bound exceeded or BRACEFORGE_BOUND
+not a positive integer, 4 invalid input (including a document that is not a
+JSON object and verify --max-order below 1), 5 theorem violation, 6 not
+soluble, 1 internal error.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -10,9 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import jsonio
 from .braces import SkewBrace, is_isomorphic, quotient
@@ -33,12 +32,15 @@ from .errors import (
     GroupInvalid,
     GroupValidationError,
     BraceAxiomFailed,
+    InvalidBound,
+    InvalidDocument,
     NotAnIdeal,
     NotSoluble,
     SeriesInvalid,
     TheoremViolation,
 )
 from .structure import (
+    _prime_power,
     all_ideals,
     annihilator_quotient_test,
     chief_series_as_abelian,
@@ -72,14 +74,6 @@ VERIFY_SCOPES = ("A", "B", "C", "D", "lemma-GIntG", "prop-central-commut")
 FIND_DECOMPOSITION_MAX = 5
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Apply fn to items, fanning out across threads; result order is fixed."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(report: dict, out: str | None) -> None:
     text = jsonio.dumps(report)
     if out:
@@ -88,9 +82,8 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _census_range(max_order: int, jobs: int) -> list[CensusEntry]:
-    per_order = _parallel_map(enumerate_braces, list(range(1, max_order + 1)), jobs)
-    return [entry for chunk in per_order for entry in chunk]
+def _census_range(max_order: int) -> list[CensusEntry]:
+    return [entry for n in range(1, max_order + 1) for entry in enumerate_braces(n)]
 
 
 def cmd_enumerate(args) -> int:
@@ -143,7 +136,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    data = json.loads(Path(args.input).read_text(encoding="utf-8"))
+    data = jsonio.read_object(args.input)
     if "lambda" in data and "rho" in data:
         solution = jsonio.load_solution_data(data)
         if args.partition == "singletons":
@@ -170,11 +163,10 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _verify_A(max_order: int, jobs: int) -> dict:
-    entries = _census_range(max_order, jobs)
+def _verify_A(max_order: int) -> dict:
+    entries = _census_range(max_order)
     report = verify_no_proper_subbraces([e.brace for e in entries])
-    primes = [n for n in range(2, max_order + 1)
-              if all(n % d for d in range(2, n))]
+    primes = [n for n in range(2, max_order + 1) if _prime_power(n) == n]
     got = sorted(q["order"] for q in report.qualifying)
     if got != primes:
         raise TheoremViolation(
@@ -185,8 +177,8 @@ def _verify_A(max_order: int, jobs: int) -> dict:
                          "trivial braces of prime order"}
 
 
-def _verify_B(max_order: int, jobs: int, exhaustive: bool) -> dict:
-    entries = _census_range(max_order, jobs)
+def _verify_B(max_order: int, exhaustive: bool) -> dict:
+    entries = _census_range(max_order)
     soluble = [e.brace for e in entries if is_soluble(e.brace)]
 
     def check(b: SkewBrace) -> dict:
@@ -195,12 +187,12 @@ def _verify_B(max_order: int, jobs: int, exhaustive: bool) -> dict:
                 "factors": [r.to_json() for r in rep.factor_reports],
                 "maximal_subbrace_indices": [i for _, i in rep.maximal_subbrace_indices]}
 
-    details = _parallel_map(check, soluble, jobs)
+    details = [check(b) for b in soluble]
     return {"checked": len(entries), "soluble": len(soluble), "braces": details}
 
 
-def _verify_C(max_order: int, jobs: int) -> dict:
-    entries = _census_range(max_order, jobs)
+def _verify_C(max_order: int) -> dict:
+    entries = _census_range(max_order)
     soluble = [e.brace for e in entries if is_soluble(e.brace)]
 
     def check(b: SkewBrace) -> dict:
@@ -217,14 +209,14 @@ def _verify_C(max_order: int, jobs: int) -> dict:
         return {"order": b.order, "levels": len(witness.partitions),
                 "uniform": witness.uniform, "coset_decompositions": corollary}
 
-    details = _parallel_map(check, soluble, jobs)
+    details = [check(b) for b in soluble]
     if not all(d["uniform"] for d in details):
         raise TheoremViolation("non-uniform witness from an abelian series")
     return {"checked": len(entries), "soluble": len(soluble), "braces": details}
 
 
-def _verify_D(max_order: int, jobs: int) -> dict:
-    entries = _census_range(max_order, jobs)
+def _verify_D(max_order: int) -> dict:
+    entries = _census_range(max_order)
     soluble = [e.brace for e in entries if is_soluble(e.brace)]
 
     def check(b: SkewBrace) -> dict:
@@ -240,7 +232,7 @@ def _verify_D(max_order: int, jobs: int) -> dict:
             witnesses += 1
         return {"order": b.order, "subsets": witnesses}
 
-    details = _parallel_map(check, soluble, jobs)
+    details = [check(b) for b in soluble]
     return {"checked": len(entries), "soluble": len(soluble), "braces": details}
 
 
@@ -260,8 +252,8 @@ def _verify_lemma_gintg() -> dict:
             "witnesses": ["G x 1", "{(a, conj by a^-1)}"]}
 
 
-def _verify_central_commut(max_order: int, jobs: int) -> dict:
-    entries = _census_range(max_order, jobs)
+def _verify_central_commut(max_order: int) -> dict:
+    entries = _census_range(max_order)
 
     def check(b: SkewBrace) -> int:
         pairs = 0
@@ -273,24 +265,27 @@ def _verify_central_commut(max_order: int, jobs: int) -> dict:
                     pairs += 1
         return pairs
 
-    counts = _parallel_map(check, [e.brace for e in entries], jobs)
-    return {"checked": len(entries), "ideal_pairs": sum(counts)}
+    return {"checked": len(entries), "ideal_pairs": sum(check(e.brace) for e in entries)}
 
 
 def cmd_verify(args) -> int:
     max_order = args.max_order if args.max_order is not None else (12 if args.slow else 8)
+    if max_order < 1:
+        # an empty census would pass vacuously
+        sys.stderr.write(f"validation failed: --max-order must be at least 1, got {max_order}\n")
+        return EXIT_VALIDATION
     if args.scope == "A":
-        body = _verify_A(max_order, args.jobs)
+        body = _verify_A(max_order)
     elif args.scope == "B":
-        body = _verify_B(max_order, args.jobs, args.exhaustive_series)
+        body = _verify_B(max_order, args.exhaustive_series)
     elif args.scope == "C":
-        body = _verify_C(max_order, args.jobs)
+        body = _verify_C(max_order)
     elif args.scope == "D":
-        body = _verify_D(max_order, args.jobs)
+        body = _verify_D(max_order)
     elif args.scope == "lemma-GIntG":
         body = _verify_lemma_gintg()
     else:
-        body = _verify_central_commut(max_order, args.jobs)
+        body = _verify_central_commut(max_order)
     report = {"scope": args.scope, "max_order": max_order, "pass": True}
     report.update(body)
     _emit(report, args.out)
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-order", type=int, default=None)
     p_verify.add_argument("--slow", action="store_true")
     p_verify.add_argument("--exhaustive-series", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--out")
     p_verify.set_defaults(fn=cmd_verify)
 
@@ -345,12 +339,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CatalogMissing as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CATALOG
-    except BoundExceeded as exc:
+    except (BoundExceeded, InvalidBound) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BOUND
     except (GroupValidationError, GroupInvalid, BraceAxiomFailed, Degenerate,
             BraidFailed, NotAnIdeal, SeriesInvalid, EmbeddingIncompatible,
-            json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+            InvalidDocument, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
         sys.stderr.write(f"validation failed: {exc}\n")
         return EXIT_VALIDATION
     except TheoremViolation as exc:

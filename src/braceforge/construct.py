@@ -23,12 +23,12 @@ from .errors import (
 )
 from .groups import (
     FiniteGroup,
-    Perm,
     RegularSubgroup,
     _group_unchecked,
     assert_simple_nonabelian,
     automorphism_group,
     group_isomorphism,
+    invert,
     is_automorphism,
     regular_subgroups,
 )
@@ -99,19 +99,12 @@ def _canonical_mul_table(G: FiniteGroup, brace: SkewBrace) -> tuple[tuple[int, .
     """
     best = brace.mul.table
     for f in automorphism_group(G):
-        finv = _inverse_images(f)
+        finv = invert(f)
         moved = tuple(tuple(f[brace.times(finv[a], finv[b])] for b in G.elements())
                       for a in G.elements())
         if moved < best:
             best = moved
     return best
-
-
-def _inverse_images(f: Perm) -> list[int]:
-    out = [0] * len(f)
-    for i, v in enumerate(f):
-        out[v] = i
-    return out
 
 
 def enumerate_braces(n: int, *, extra_groups: list[FiniteGroup] | None = None,

@@ -59,6 +59,14 @@ class BoundExceeded(BraceforgeError):
         super().__init__(f"{what} = {actual} exceeds the configured bound {limit}")
 
 
+class InvalidBound(BraceforgeError):
+    """BRACEFORGE_BOUND is set to something other than a positive integer."""
+
+
+class InvalidDocument(BraceforgeError):
+    """An input file does not hold a JSON object."""
+
+
 class CatalogMissing(BraceforgeError):
     def __init__(self, order: int):
         self.order = order

@@ -7,12 +7,14 @@ Enumeration operations carry explicit hard bounds so blow-ups fail loudly.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
+    InvalidBound,
     NoIdentityAtZero,
     NoInverse,
     NotAssociative,
@@ -26,17 +28,33 @@ DEFAULT_GROUP_BOUND = 200
 DEFAULT_HOLOMORPH_BOUND = 10000
 
 
+def _env_bound() -> int | None:
+    """BRACEFORGE_BOUND as a positive integer, or None when unset.
+
+    Read on every call, so a changed environment takes effect at once.
+    """
+    value = os.environ.get("BRACEFORGE_BOUND")
+    if not value:
+        return None
+    try:
+        bound = int(value)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise InvalidBound(f"BRACEFORGE_BOUND={value!r} is not a positive integer")
+    return bound
+
+
 def enumeration_bound(default: int = DEFAULT_GROUP_BOUND) -> int:
     """Hard bound on group order for enumeration ops; BRACEFORGE_BOUND overrides."""
-    value = os.environ.get("BRACEFORGE_BOUND")
-    return int(value) if value else default
+    return _env_bound() or default
 
 
 def holomorph_bound(default: int = DEFAULT_HOLOMORPH_BOUND) -> int:
     """Hard bound on the ambient order of a regular-subgroup search."""
-    value = os.environ.get("BRACEFORGE_BOUND")
+    value = _env_bound()
     # keep the default 1:50 ratio between the two bounds when overridden
-    return max(default, 50 * int(value)) if value else default
+    return max(default, 50 * value) if value else default
 
 
 def identity_perm(n: int) -> Perm:
@@ -149,13 +167,16 @@ class FiniteGroup:
         return frozenset(members)
 
 
-def _check_shape_and_latin(table: Sequence[Sequence[int]]) -> None:
+def _check_latin_with_identity(table: Sequence[Sequence[int]]) -> None:
+    """Non-empty square Latin table of ints 0..n-1 with identity at 0, in that order."""
     n = len(table)
+    if n < 1:
+        raise NotClosed(0, 0, "empty table")
     for a, row in enumerate(table):
         if len(row) != n:
             raise NotClosed(a, len(row), "row has wrong length")
         for b, v in enumerate(row):
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise NotClosed(a, b, f"entry {v} outside 0..{n - 1}")
     for a in range(n):
         seen: dict[int, int] = {}
@@ -171,6 +192,9 @@ def _check_shape_and_latin(table: Sequence[Sequence[int]]) -> None:
             if v in seen:
                 raise NotClosed(a, b, f"duplicate {v} in column (rows {seen[v]},{a})")
             seen[v] = a
+    for a in range(n):
+        if table[0][a] != a or table[a][0] != a:
+            raise NoIdentityAtZero(a)
 
 
 def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None,
@@ -180,13 +204,8 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None,
     Checks run in the order: closure/Latin square, identity at 0,
     associativity (exhaustive for order <= assoc_bound), inverses.
     """
+    _check_latin_with_identity(table)
     n = len(table)
-    if n < 1:
-        raise NotClosed(0, 0, "empty table")
-    _check_shape_and_latin(table)
-    for a in range(n):
-        if table[0][a] != a or table[a][0] != a:
-            raise NoIdentityAtZero(a)
     limit = assoc_bound if assoc_bound is not None else enumeration_bound()
     if n > limit:
         raise BoundExceeded("group order (associativity scan)", n, limit)
@@ -214,11 +233,7 @@ def _group_unchecked(table: Sequence[Sequence[int]], name: str | None = None) ->
 
     Latin-square and identity checks still run; only the n^3 scan is skipped.
     """
-    _check_shape_and_latin(table)
-    n = len(table)
-    for a in range(n):
-        if table[0][a] != a or table[a][0] != a:
-            raise NoIdentityAtZero(a)
+    _check_latin_with_identity(table)
     rows = tuple(tuple(row) for row in table)
     inverse = tuple(row.index(0) for row in rows)
     return FiniteGroup(rows, inverse, name)
@@ -273,9 +288,9 @@ def is_automorphism(G: FiniteGroup, perm: Sequence[int]) -> bool:
                for a in G.elements() for b in G.elements())
 
 
-def _hom_from_generator_images(G: FiniteGroup, gens: Sequence[int],
+def _hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                                images: Sequence[int]) -> Perm | None:
-    """Bijective homomorphism G -> G sending gens to images, if one exists."""
+    """Bijective homomorphism G -> H sending gens to images, if one exists."""
     n = G.order
     mapping: list[int | None] = [None] * n
     mapping[0] = 0
@@ -285,7 +300,7 @@ def _hom_from_generator_images(G: FiniteGroup, gens: Sequence[int],
         fx = mapping[x]
         for g, h in zip(gens, images):
             y = G.table[x][g]
-            fy = G.table[fx][h]
+            fy = H.table[fx][h]
             if mapping[y] is None:
                 mapping[y] = fy
                 queue.append(y)
@@ -294,46 +309,41 @@ def _hom_from_generator_images(G: FiniteGroup, gens: Sequence[int],
     for a in range(n):
         ma = mapping[a]
         for b in range(n):
-            if mapping[G.table[a][b]] != G.table[ma][mapping[b]]:
+            if mapping[G.table[a][b]] != H.table[ma][mapping[b]]:
                 return None
     return tuple(mapping)  # type: ignore[arg-type]
 
 
-def automorphism_group(G: FiniteGroup, *, bound: int | None = None) -> list[Perm]:
-    """All automorphisms of G, sorted; backtracking on generator images.
+def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
+                  sig_H: Sequence) -> Iterator[Perm]:
+    """Every isomorphism G -> H that preserves the element signatures sig_G, sig_H.
 
-    Candidate images are pruned by element order before the full check.
+    Tries each image of generating_set(G) among the elements of H with the
+    generator's signature, in lexicographic order of the image tuple.
     """
+    gens = generating_set(G)
+    candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
+    for images in itertools.product(*candidates):
+        f = _hom_from_generator_images(G, H, gens, images)
+        if f is not None:
+            yield f
+
+
+def _element_orders(G: FiniteGroup) -> list[int]:
+    return [G.element_order(g) for g in G.elements()]
+
+
+def automorphism_group(G: FiniteGroup, *, bound: int | None = None) -> list[Perm]:
+    """All automorphisms of G, sorted; generator images pruned by element order."""
     limit = bound if bound is not None else enumeration_bound()
     if G.order > limit:
         raise BoundExceeded("group order", G.order, limit)
     cached = G._cache.get("automorphisms")
-    if cached is not None:
-        return list(cached)
-    gens = generating_set(G)
-    if not gens:
-        out = [identity_perm(G.order)]
-        G._cache["automorphisms"] = out
-        return list(out)
-    candidates = [[h for h in G.elements()
-                   if G.element_order(h) == G.element_order(g)] for g in gens]
-    found: list[Perm] = []
-
-    def descend(k: int, images: list[int]) -> None:
-        if k == len(gens):
-            perm = _hom_from_generator_images(G, gens, images)
-            if perm is not None:
-                found.append(perm)
-            return
-        for h in candidates[k]:
-            images.append(h)
-            descend(k + 1, images)
-            images.pop()
-
-    descend(0, [])
-    found.sort()
-    G._cache["automorphisms"] = found
-    return list(found)
+    if cached is None:
+        orders = _element_orders(G)
+        cached = sorted(_isomorphisms(G, G, orders, orders))
+        G._cache["automorphisms"] = cached
+    return list(cached)
 
 
 def inner_automorphisms(G: FiniteGroup) -> list[Perm]:
@@ -506,47 +516,7 @@ def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup, *,
         raise BoundExceeded("group order", G1.order, limit)
     if G1.order != G2.order or G1.order_histogram() != G2.order_histogram():
         return None
-    n = G1.order
-    gens = generating_set(G1)
-    if not gens:
-        return identity_perm(1)
-    candidates = [[h for h in G2.elements()
-                   if G2.element_order(h) == G1.element_order(g)] for g in gens]
-
-    def build(images: Sequence[int]) -> Perm | None:
-        mapping: list[int | None] = [None] * n
-        mapping[0] = 0
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            fx = mapping[x]
-            for g, h in zip(gens, images):
-                y = G1.table[x][g]
-                fy = G2.table[fx][h]
-                if mapping[y] is None:
-                    mapping[y] = fy
-                    queue.append(y)
-        if any(v is None for v in mapping) or len(set(mapping)) != n:
-            return None
-        for a in range(n):
-            ma = mapping[a]
-            for b in range(n):
-                if mapping[G1.table[a][b]] != G2.table[ma][mapping[b]]:
-                    return None
-        return tuple(mapping)  # type: ignore[arg-type]
-
-    def descend(k: int, images: list[int]) -> Perm | None:
-        if k == len(gens):
-            return build(images)
-        for h in candidates[k]:
-            images.append(h)
-            got = descend(k + 1, images)
-            images.pop()
-            if got is not None:
-                return got
-        return None
-
-    return descend(0, [])
+    return next(_isomorphisms(G1, G2, _element_orders(G1), _element_orders(G2)), None)
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:

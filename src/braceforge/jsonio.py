@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .braces import SkewBrace, validate_brace
 from .construct import CensusEntry
-from .errors import GroupValidationError, NoIdentityAtZero
+from .errors import GroupValidationError, InvalidDocument, NoIdentityAtZero
 from .groups import FiniteGroup, Perm, validate_group
 from .ybe import Solution, validate_solution
 
@@ -30,6 +30,14 @@ def dumps_line(obj: Any) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8")
+
+
+def read_object(path: str | Path) -> dict:
+    """Parse a JSON file; every document format here is an object."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise InvalidDocument(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 @dataclass(frozen=True)
@@ -82,7 +90,7 @@ def load_group_data(data: dict) -> tuple[FiniteGroup, LoadReport]:
 
 
 def load_group(path: str | Path) -> tuple[FiniteGroup, LoadReport]:
-    return load_group_data(json.loads(Path(path).read_text(encoding="utf-8")))
+    return load_group_data(read_object(path))
 
 
 def brace_to_json(B: SkewBrace) -> dict:
@@ -105,7 +113,7 @@ def load_brace_data(data: dict) -> tuple[SkewBrace, LoadReport]:
 
 
 def load_brace(path: str | Path) -> tuple[SkewBrace, LoadReport]:
-    return load_brace_data(json.loads(Path(path).read_text(encoding="utf-8")))
+    return load_brace_data(read_object(path))
 
 
 def solution_to_json(S: Solution) -> dict:
@@ -117,7 +125,7 @@ def load_solution_data(data: dict) -> Solution:
 
 
 def load_solution(path: str | Path) -> Solution:
-    return load_solution_data(json.loads(Path(path).read_text(encoding="utf-8")))
+    return load_solution_data(read_object(path))
 
 
 def census_entry_to_json(entry: CensusEntry, index: int) -> dict:

@@ -8,6 +8,7 @@ re-checked from the witness alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .braces import (
     SkewBrace,
@@ -201,45 +202,36 @@ def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
     return chains_from(B.carrier())
 
 
-def chief_series(B: SkewBrace) -> SeriesWitness:
-    """A chief series, built greedily from the canonical minimal ideal.
+def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
+    """Every chief series of B (descending witnesses), lazily, depth first.
 
-    Chief series need not be unique; this one always picks the least minimal
-    ideal (by size, then members) of the current quotient.
+    Each level tries the minimal ideals of the current quotient in canonical
+    order (by size, then members), so the first series always picks the least.
     """
     carrier = B.carrier()
-    ascending: list[frozenset[int]] = [ZERO]
-    while ascending[-1] != carrier:
-        q = quotient(B, ascending[-1])
-        pick = min(minimal_ideals(q.brace), key=subset_key)
-        ascending.append(q.preimage(pick))
-    chain = tuple(reversed(ascending))
-    certificates = tuple({"upper": sorted(chain[i]), "lower": sorted(chain[i + 1]),
-                          "minimal_ideal_of_quotient": True}
-                         for i in range(len(chain) - 1))
-    return SeriesWitness("chief", chain, certificates)
 
-
-def all_chief_series(B: SkewBrace) -> list[SeriesWitness]:
-    """Every chief series of B (descending witnesses), for exhaustive checks."""
-    carrier = B.carrier()
-    results: list[SeriesWitness] = []
-
-    def ascend(acc: list[frozenset[int]]) -> None:
+    def ascend(acc: list[frozenset[int]]) -> Iterator[SeriesWitness]:
         if acc[-1] == carrier:
             chain = tuple(reversed(acc))
             certificates = tuple({"upper": sorted(chain[i]),
                                   "lower": sorted(chain[i + 1]),
                                   "minimal_ideal_of_quotient": True}
                                  for i in range(len(chain) - 1))
-            results.append(SeriesWitness("chief", chain, certificates))
+            yield SeriesWitness("chief", chain, certificates)
             return
         q = quotient(B, acc[-1])
         for pick in minimal_ideals(q.brace):
-            ascend(acc + [q.preimage(pick)])
+            yield from ascend(acc + [q.preimage(pick)])
 
-    ascend([ZERO])
-    return results
+    return ascend([ZERO])
+
+
+def chief_series(B: SkewBrace) -> SeriesWitness:
+    """The first chief series of all_chief_series: always the least minimal ideal.
+
+    Chief series need not be unique; this one is canonical.
+    """
+    return next(all_chief_series(B))
 
 
 def maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
@@ -312,18 +304,18 @@ def _elementary_abelian_prime(B: SkewBrace, members: frozenset[int]) -> int | No
     if len(orders) != 1:
         return None
     p = orders.pop()
-    if not _is_prime(p):
+    return p if _prime_power(len(members)) == p else None
+
+
+def _prime_power(n: int) -> int | None:
+    """The prime p when n = p^k with k >= 1, else None."""
+    # the least divisor above 1 is prime
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
         return None
-    size = len(members)
-    while size % p == 0:
-        size //= p
-    return p if size == 1 else None
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    return all(n % d for d in range(2, int(n ** 0.5) + 1))
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
 
 
 def classify_chief_factor(B: SkewBrace, lower: frozenset[int],
@@ -362,16 +354,6 @@ def classify_chief_factor(B: SkewBrace, lower: frozenset[int],
     witness = min(complements, key=subset_key)
     return ChiefFactorReport(lower, upper, True, "complemented", p,
                              witness, q.preimage(witness), all_maximal)
-
-
-def _prime_power(n: int) -> int | None:
-    for p in range(2, n + 1):
-        if _is_prime(p) and n % p == 0:
-            m = n
-            while m % p == 0:
-                m //= p
-            return p if m == 1 else None
-    return None
 
 
 @dataclass(frozen=True)
@@ -455,7 +437,7 @@ def verify_no_proper_subbraces(braces: list[SkewBrace]) -> SubbraceFreeReport:
     for B in braces:
         if B.order == 1 or has_proper_subbrace(B):
             continue
-        if not (B.is_trivial and _is_prime(B.order)):
+        if not (B.is_trivial and _prime_power(B.order) == B.order):
             raise TheoremViolation(
                 "brace without proper subbraces is not trivial of prime order",
                 (B.add.table, B.mul.table))
@@ -488,7 +470,7 @@ def verify_maximal_subbrace_dichotomy(B: SkewBrace, S: frozenset[int]) -> Maxima
         raise TheoremViolation("maximal subbrace avoiding the annihilator is not an ideal",
                                sorted(S))
     q = quotient(B, S).brace
-    good = q.is_abelian and _is_prime(q.order)
+    good = q.is_abelian and _prime_power(q.order) == q.order
     if not good:
         raise TheoremViolation("quotient by the maximal subbrace is not prime abelian",
                                sorted(S))

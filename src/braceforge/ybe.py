@@ -66,12 +66,11 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
             or any(len(r) != m for r in rho_tab):
         raise Degenerate("table shape", m)
     full = set(range(m))
-    for x, row in enumerate(lambda_tab):
-        if set(row) != full:
-            raise Degenerate("lambda", x)
-    for y, row in enumerate(rho_tab):
-        if set(row) != full:
-            raise Degenerate("rho", y)
+    for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
+        for x, row in enumerate(tab):
+            # bool and float entries compare equal to ints, so check the type too
+            if set(row) != full or any(type(v) is not int for v in row):
+                raise Degenerate(which, x)
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
 
@@ -132,12 +131,6 @@ class Partition:
     def uniform(self) -> bool:
         sizes = {len(b) for b in self.blocks}
         return len(sizes) <= 1
-
-    def block_of(self, x: int) -> frozenset[int]:
-        for b in self.blocks:
-            if x in b:
-                return b
-        raise KeyError(x)
 
     def to_json(self) -> dict:
         return {"blocks": [sorted(b) for b in self.blocks], "uniform": self.uniform}

@@ -1,5 +1,7 @@
 """Skew brace algebra: validation, lambda/star, substructures, quotients."""
 
+import random
+
 import pytest
 
 from braceforge.braces import (
@@ -275,6 +277,29 @@ class TestIsomorphism:
             for b in P.elements():
                 assert f[P.plus(a, b)] == Z6.plus(f[a], f[b])
                 assert f[P.times(a, b)] == Z6.times(f[a], f[b])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_relabelled_census_braces(self, seed):
+        from braceforge.construct import enumerate_braces
+        rng = random.Random(seed)
+        for n in range(1, 9):
+            for entry in enumerate_braces(n):
+                B = entry.brace
+                rest = list(range(1, n))
+                rng.shuffle(rest)
+                perm = [0] + rest  # the identity stays at 0
+                add, mul = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+                for a in range(n):
+                    for b in range(n):
+                        add[perm[a]][perm[b]] = perm[B.plus(a, b)]
+                        mul[perm[a]][perm[b]] = perm[B.times(a, b)]
+                C = validate_brace(add, mul)
+                f = is_isomorphic(B, C)
+                assert f is not None
+                for a in range(n):
+                    for b in range(n):
+                        assert f[B.plus(a, b)] == C.plus(f[a], f[b])
+                        assert f[B.times(a, b)] == C.times(f[a], f[b])
 
 
 class TestSubBraceExtraction:

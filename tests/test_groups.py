@@ -13,6 +13,7 @@ from braceforge.catalog import (
     dicyclic,
     dihedral,
     direct_product_group,
+    groups_of_order,
     symmetric_group,
 )
 from braceforge.errors import (
@@ -154,6 +155,17 @@ class TestAutomorphisms:
         assert len(automorphism_group(cyclic(4))) == 2
         assert len(automorphism_group(klein_four())) == 6
         assert len(automorphism_group(cyclic(1))) == 1
+
+    @pytest.mark.parametrize("order,name,count", [
+        (8, "C8", 4), (8, "C4xC2", 8), (8, "C2xC2xC2", 168), (8, "D4", 8), (8, "Q8", 24),
+        (12, "C12", 4), (12, "C6xC2", 12), (12, "D6", 12), (12, "A4", 24), (12, "Dic3", 12),
+    ])
+    def test_catalog_counts(self, order, name, count):
+        [G] = [e.group for e in groups_of_order(order) if e.name == name]
+        assert len(automorphism_group(G)) == count
+
+    def test_a5_count(self):
+        assert len(automorphism_group(alternating_5())) == 120
 
     @pytest.mark.parametrize("G", [cyclic(4), cyclic(6), klein_four(),
                                    symmetric_group(3), cyclic(5)])

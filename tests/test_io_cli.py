@@ -10,7 +10,7 @@ from braceforge import jsonio
 from braceforge.braces import is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
-from braceforge.errors import GroupValidationError
+from braceforge.errors import Degenerate, GroupInvalid, GroupValidationError
 from braceforge.ybe import flip_solution
 
 
@@ -54,12 +54,23 @@ class TestBraceFiles:
         assert report.relabeling is not None
         assert loaded == trivial_brace(cyclic(3))
 
+    def test_bool_entries_refused(self):
+        # true == 1 and false == 0 in Python, so only a type check catches these
+        table = [[0, True], [True, 0]]
+        with pytest.raises(GroupInvalid):
+            jsonio.load_brace_data({"add": table, "mul": [[0, 1], [1, 0]]})
+
 
 class TestSolutionFiles:
     def test_roundtrip(self, tmp_path):
         s = flip_solution(4)
         path = write(tmp_path, "s.json", jsonio.solution_to_json(s))
         assert jsonio.load_solution(path) == s
+
+    def test_bool_entries_refused(self):
+        flip = [[False, True], [False, True]]
+        with pytest.raises(Degenerate):
+            jsonio.load_solution_data({"size": 2, "lambda": flip, "rho": flip})
 
 
 @given(st.permutations(list(range(5))))
@@ -124,6 +135,13 @@ class TestCliAnalyze:
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent.json"]) == 4
 
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"brace"'])
+    def test_non_object_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["analyze", str(bad)]) == 4
+        assert "not an object" in capsys.readouterr().err
+
 
 class TestCliDecompose:
     def test_soluble_brace(self, tmp_path):
@@ -161,6 +179,13 @@ class TestCliDecompose:
                     jsonio.solution_to_json(flip_solution(6)))
         assert main(["decompose", src]) == 3
 
+    @pytest.mark.parametrize("text", ["5", '["lambda", "rho"]'])
+    def test_non_object_exit_code(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["decompose", str(bad)]) == 4
+        assert "not an object" in capsys.readouterr().err
+
 
 class TestCliVerify:
     @pytest.mark.parametrize("scope", ["A", "B", "C", "D", "prop-central-commut"])
@@ -183,13 +208,23 @@ class TestCliVerify:
         assert report["max_order"] == 12
         assert report["qualifying_orders"] == [2, 3, 5, 7, 11]
 
-    def test_jobs_do_not_change_bytes(self, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["verify", "C", "--max-order", "5", "--jobs", "1",
-                     "--out", str(a)]) == 0
-        assert main(["verify", "C", "--max-order", "5", "--jobs", "3",
-                     "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("max_order", ["0", "-3"])
+    def test_max_order_below_one_exit_code(self, max_order, tmp_path, capsys):
+        # an empty census must not be reported as a pass
+        out = tmp_path / "r.json"
+        assert main(["verify", "A", "--max-order", max_order, "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert "--max-order must be at least 1" in captured.err
+        assert "pass" not in captured.out and not out.exists()
+
+
+class TestCliEnvironment:
+    @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
+    def test_bad_bound_exit_code(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("BRACEFORGE_BOUND", value)
+        assert main(["enumerate", "--order", "4"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "not a positive integer" in err
 
 
 class TestCliOracle:
