@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
-    BoundExceeded,
     BraceAxiomFailed,
     GroupInvalid,
     GroupValidationError,
@@ -23,8 +22,9 @@ from .groups import (
     FiniteGroup,
     Perm,
     _isomorphisms,
-    enumeration_bound,
+    check_bound,
     identity_perm,
+    memoised,
     subgroups,
     validate_group,
 )
@@ -79,23 +79,17 @@ class SkewBrace:
         return frozenset(self.elements())
 
     @property
+    @memoised
     def is_trivial(self) -> bool:
         """Both operations coincide."""
-        flag = self._cache.get("trivial")
-        if flag is None:
-            flag = self.add.table == self.mul.table
-            self._cache["trivial"] = flag
-        return flag
+        return self.add.table == self.mul.table
 
     @property
+    @memoised
     def is_almost_trivial(self) -> bool:
         """a*b = b+a for all a, b."""
-        flag = self._cache.get("almost_trivial")
-        if flag is None:
-            flag = all(self.mul.table[a][b] == self.add.table[b][a]
-                       for a in self.elements() for b in self.elements())
-            self._cache["almost_trivial"] = flag
-        return flag
+        return all(self.mul.table[a][b] == self.add.table[b][a]
+                   for a in self.elements() for b in self.elements())
 
     @property
     def is_abelian(self) -> bool:
@@ -218,10 +212,11 @@ def _is_additive_subgroup(B: SkewBrace, S: frozenset[int]) -> bool:
 
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
     """Decide subbrace / left ideal / ideal by definition-level scans."""
-    key = frozenset(S)
-    cached = B._cache.setdefault("subset_flags", {}).get(key)
-    if cached is not None:
-        return cached
+    return _classify(B, frozenset(S))
+
+
+@memoised
+def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
     additive = _is_additive_subgroup(B, key)
     subbrace = additive and all(B.times(a, b) in key for a in key for b in key) \
         and all(B.tinv(a) in key for a in key)
@@ -231,20 +226,12 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
         and all(B.plus(B.plus(b, a), B.neg(b)) in key
                 for b in B.elements() for a in key) \
         and all(star(B, a, b) in key for a in key for b in B.elements())
-    flags = SubsetFlags(subbrace, left_ideal, ideal)
-    B._cache["subset_flags"][key] = flags
-    return flags
+    return SubsetFlags(subbrace, left_ideal, ideal)
 
 
 def subbraces(B: SkewBrace, *, bound: int | None = None) -> list[frozenset[int]]:
     """All subbraces: additive subgroups also closed under the product."""
-    cached = B._cache.get("subbraces")
-    if cached is None:
-        cached = [S for S in subgroups(B.add, bound=bound)
-                  if all(B.times(a, b) in S for a in S for b in S)
-                  and all(B.tinv(a) in S for a in S)]
-        B._cache["subbraces"] = cached
-    return list(cached)
+    return [S for S in subgroups(B.add, bound=bound) if classify_subset(B, S).subbrace]
 
 
 @dataclass(frozen=True)
@@ -263,10 +250,16 @@ class SubBrace:
 
 
 def sub_brace(B: SkewBrace, S: Iterable[int]) -> SubBrace:
-    """Re-index a subbrace as a brace in its own right (0 stays at 0)."""
-    members = sorted(frozenset(S))
-    if not classify_subset(B, members).subbrace:
-        raise ValueError(f"{members} is not a subbrace")
+    """Re-index a subbrace as a brace in its own right (0 stays at 0); memoised on B."""
+    key = frozenset(S)
+    if not classify_subset(B, key).subbrace:
+        raise ValueError(f"{sorted(key)} is not a subbrace")
+    return _sub_brace(B, key)
+
+
+@memoised
+def _sub_brace(B: SkewBrace, key: frozenset[int]) -> SubBrace:
+    members = sorted(key)
     pos = {g: i for i, g in enumerate(members)}
     add = [[pos[B.plus(a, b)] for b in members] for a in members]
     mul = [[pos[B.times(a, b)] for b in members] for a in members]
@@ -291,10 +284,15 @@ class Quotient:
 
 
 def quotient(B: SkewBrace, I: Iterable[int]) -> Quotient:
-    """B modulo an ideal, on least-element coset representatives."""
+    """B modulo an ideal, on least-element coset representatives; memoised on B."""
     ideal = frozenset(I)
     if not classify_subset(B, ideal).ideal:
         raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
+    return _quotient(B, ideal)
+
+
+@memoised
+def _quotient(B: SkewBrace, ideal: frozenset[int]) -> Quotient:
     coset_of: dict[int, frozenset[int]] = {}
     for a in B.elements():
         if a not in coset_of:
@@ -326,10 +324,7 @@ def subbrace_product(B: SkewBrace, S: Iterable[int], I: Iterable[int]) -> frozen
 def direct_product(B1: SkewBrace, B2: SkewBrace, *,
                    bound: int | None = None) -> SkewBrace:
     """Componentwise operations on pairs (a1, a2) -> a1*|B2| + a2."""
-    limit = bound if bound is not None else enumeration_bound()
-    size = B1.order * B2.order
-    if size > limit:
-        raise BoundExceeded("product order", size, limit)
+    check_bound("product order", B1.order * B2.order, bound)
     n2 = B2.order
     pairs = list(itertools.product(B1.elements(), B2.elements()))
     add = [[B1.plus(a1, b1) * n2 + B2.plus(a2, b2) for b1, b2 in pairs]
@@ -339,30 +334,27 @@ def direct_product(B1: SkewBrace, B2: SkewBrace, *,
     return validate_brace(add, mul)
 
 
+@memoised
 def lambda_orbit_sizes(B: SkewBrace) -> tuple[int, ...]:
     """Size of the orbit of each element under all lambda maps."""
-    sizes = B._cache.get("lambda_orbits")
-    if sizes is None:
-        sizes = [0] * B.order
-        seen = [False] * B.order
-        for a in B.elements():
-            if seen[a]:
-                continue
-            orbit = {a}
-            work = [a]
-            while work:
-                x = work.pop()
-                for b in B.elements():
-                    y = B.lam[b][x]
-                    if y not in orbit:
-                        orbit.add(y)
-                        work.append(y)
-            for x in orbit:
-                sizes[x] = len(orbit)
-                seen[x] = True
-        sizes = tuple(sizes)
-        B._cache["lambda_orbits"] = sizes
-    return sizes
+    sizes = [0] * B.order
+    seen = [False] * B.order
+    for a in B.elements():
+        if seen[a]:
+            continue
+        orbit = {a}
+        work = [a]
+        while work:
+            x = work.pop()
+            for b in B.elements():
+                y = B.lam[b][x]
+                if y not in orbit:
+                    orbit.add(y)
+                    work.append(y)
+        for x in orbit:
+            sizes[x] = len(orbit)
+            seen[x] = True
+    return tuple(sizes)
 
 
 def _brace_signature(B: SkewBrace, a: int) -> tuple[int, int, int]:
@@ -377,9 +369,7 @@ def is_isomorphic(B1: SkewBrace, B2: SkewBrace, *,
     multiplicative order, lambda-orbit size) signature, that also preserves
     the product.
     """
-    limit = bound if bound is not None else enumeration_bound()
-    if B1.order > limit:
-        raise BoundExceeded("brace order", B1.order, limit)
+    check_bound("brace order", B1.order, bound)
     if B1.order != B2.order:
         return None
     sig1 = [_brace_signature(B1, a) for a in B1.elements()]

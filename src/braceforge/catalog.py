@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .errors import CatalogMissing
 from .groups import FiniteGroup, validate_group
@@ -99,7 +99,7 @@ class CatalogGroup:
     group: FiniteGroup
 
 
-@lru_cache(maxsize=None)
+@cache
 def _catalog() -> dict[int, tuple[CatalogGroup, ...]]:
     c2, c3 = cyclic(2), cyclic(3)
     by_order: dict[int, list[FiniteGroup]] = {
@@ -134,7 +134,7 @@ def groups_of_order(n: int) -> list[CatalogGroup]:
     return list(_catalog()[n])
 
 
-@lru_cache(maxsize=1)
+@cache
 def alternating_5() -> FiniteGroup:
     """A5 as a Cayley table on its 60 even permutations (identity at 0)."""
     return alternating_group(5)

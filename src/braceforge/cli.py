@@ -2,8 +2,10 @@
 
 Exit codes: 0 pass, 2 missing catalog, 3 bound exceeded or BRACEFORGE_BOUND
 not a positive integer, 4 invalid input (including a document that is not a
-JSON object and verify --max-order below 1), 5 theorem violation, 6 not
-soluble, 1 internal error.  All output is deterministic.
+JSON object, tables that are not square lists of lists and verify
+--max-order below 1), 5 theorem violation (the counterexample follows on
+stderr as JSON), 6 not soluble, 7 an output file could not be written,
+1 internal error.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .errors import (
     InvalidDocument,
     NotAnIdeal,
     NotSoluble,
+    OutputError,
     SeriesInvalid,
     TheoremViolation,
 )
@@ -69,6 +72,7 @@ EXIT_BOUND = 3
 EXIT_VALIDATION = 4
 EXIT_THEOREM = 5
 EXIT_NOT_SOLUBLE = 6
+EXIT_IO = 7
 
 VERIFY_SCOPES = ("A", "B", "C", "D", "lemma-GIntG", "prop-central-commut")
 FIND_DECOMPOSITION_MAX = 5
@@ -80,6 +84,17 @@ def _emit(report: dict, out: str | None) -> None:
         jsonio.write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _json_value(value):
+    """value as JSON data: its to_json() when it has one, else lists, ints and strings."""
+    if hasattr(value, "to_json"):
+        return value.to_json()
+    if isinstance(value, (set, frozenset)):
+        value = sorted(value)
+    if isinstance(value, (list, tuple)):
+        return [_json_value(v) for v in value]
+    return value if value is None or isinstance(value, (bool, int, str)) else str(value)
 
 
 def _census_range(max_order: int) -> list[CensusEntry]:
@@ -344,17 +359,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_BOUND
     except (GroupValidationError, GroupInvalid, BraceAxiomFailed, Degenerate,
             BraidFailed, NotAnIdeal, SeriesInvalid, EmbeddingIncompatible,
-            InvalidDocument, json.JSONDecodeError, KeyError, FileNotFoundError) as exc:
+            InvalidDocument, json.JSONDecodeError, UnicodeDecodeError, KeyError,
+            OSError) as exc:
         sys.stderr.write(f"validation failed: {exc}\n")
         return EXIT_VALIDATION
     except TheoremViolation as exc:
         sys.stderr.write(f"THEOREM VIOLATION (implementation bug): {exc}\n")
         if exc.counterexample is not None:
-            sys.stderr.write(jsonio.dumps({"counterexample": str(exc.counterexample)}))
+            sys.stderr.write(jsonio.dumps({"statement": str(exc),
+                                           "counterexample": _json_value(exc.counterexample)}))
         return EXIT_THEOREM
     except NotSoluble as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NOT_SOLUBLE
+    except OutputError as exc:
+        sys.stderr.write(f"I/O error: {exc}\n")
+        return EXIT_IO
     except BraceforgeError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return EXIT_INTERNAL

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from . import catalog
 from .braces import SkewBrace, is_isomorphic, validate_brace
 from .errors import (
-    BoundExceeded,
     BraceAxiomFailed,
     GroupInvalid,
     InternalInvariant,
@@ -27,6 +26,7 @@ from .groups import (
     _group_unchecked,
     assert_simple_nonabelian,
     automorphism_group,
+    check_bound,
     group_isomorphism,
     invert,
     is_automorphism,
@@ -146,8 +146,7 @@ def oracle_enumerate_braces(n: int) -> list[SkewBrace]:
     satisfying the brace law are kept and deduplicated by pairwise
     isomorphism search.  Deliberately brute force.
     """
-    if n > ORACLE_MAX_ORDER:
-        raise BoundExceeded("oracle order", n, ORACLE_MAX_ORDER)
+    check_bound("oracle order", n, ORACLE_MAX_ORDER)
     found: list[SkewBrace] = []
     for entry in catalog.groups_of_order(n):
         G = entry.group

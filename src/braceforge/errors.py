@@ -64,7 +64,11 @@ class InvalidBound(BraceforgeError):
 
 
 class InvalidDocument(BraceforgeError):
-    """An input file does not hold a JSON object."""
+    """An input file does not hold a JSON object, or its tables are not square lists of lists."""
+
+
+class OutputError(BraceforgeError):
+    """An output file could not be written."""
 
 
 class CatalogMissing(BraceforgeError):

@@ -7,10 +7,11 @@ Enumeration operations carry explicit hard bounds so blow-ups fail loudly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -55,6 +56,33 @@ def holomorph_bound(default: int = DEFAULT_HOLOMORPH_BOUND) -> int:
     value = _env_bound()
     # keep the default 1:50 ratio between the two bounds when overridden
     return max(default, 50 * value) if value else default
+
+
+def check_bound(what: str, actual: int, bound: int | None,
+                default: Callable[[], int] = enumeration_bound) -> None:
+    """Raise BoundExceeded when actual is above bound (default() when bound is None)."""
+    limit = bound if bound is not None else default()
+    if actual > limit:
+        raise BoundExceeded(what, actual, limit)
+
+
+def memoised(fn: Callable) -> Callable:
+    """Memoise fn(obj, *args) on obj._cache: the package's one cache policy.
+
+    Objects are immutable and args hashable (subsets as frozensets); errors are
+    never cached.  Callers run argument and bound checks before the lookup.
+    """
+    @functools.wraps(fn)
+    def wrapper(obj, *args):
+        key = (fn, *args)
+        cache = obj._cache
+        try:
+            return cache[key]
+        except KeyError:
+            value = cache[key] = fn(obj, *args)
+            return value
+
+    return wrapper
 
 
 def identity_perm(n: int) -> Perm:
@@ -115,42 +143,36 @@ class FiniteGroup:
         return self.table[self.table[g][x]][self.inverse[g]]
 
     def element_order(self, a: int) -> int:
-        orders = self._cache.get("orders")
-        if orders is None:
-            orders = [0] * self.order
-            for g in self.elements():
-                x, k = g, 1
-                while x != 0:
-                    x = self.table[x][g]
-                    k += 1
-                orders[g] = k
-            self._cache["orders"] = orders
-        return orders[a]
+        return self._orders()[a]
+
+    @memoised
+    def _orders(self) -> list[int]:
+        orders = [0] * self.order
+        for g in self.elements():
+            x, k = g, 1
+            while x != 0:
+                x = self.table[x][g]
+                k += 1
+            orders[g] = k
+        return orders
 
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         hist: dict[int, int] = {}
-        for g in self.elements():
-            k = self.element_order(g)
+        for k in self._orders():
             hist[k] = hist.get(k, 0) + 1
         return tuple(sorted(hist.items()))
 
     @property
+    @memoised
     def is_abelian(self) -> bool:
-        flag = self._cache.get("abelian")
-        if flag is None:
-            flag = all(self.table[a][b] == self.table[b][a]
-                       for a in self.elements() for b in self.elements())
-            self._cache["abelian"] = flag
-        return flag
+        return all(self.table[a][b] == self.table[b][a]
+                   for a in self.elements() for b in self.elements())
 
+    @memoised
     def center(self) -> frozenset[int]:
-        z = self._cache.get("center")
-        if z is None:
-            z = frozenset(a for a in self.elements()
-                          if all(self.table[a][b] == self.table[b][a]
-                                 for b in self.elements()))
-            self._cache["center"] = z
-        return z
+        return frozenset(a for a in self.elements()
+                         if all(self.table[a][b] == self.table[b][a]
+                                for b in self.elements()))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by seed; finite, so product closure suffices."""
@@ -206,9 +228,7 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None,
     """
     _check_latin_with_identity(table)
     n = len(table)
-    limit = assoc_bound if assoc_bound is not None else enumeration_bound()
-    if n > limit:
-        raise BoundExceeded("group order (associativity scan)", n, limit)
+    check_bound("group order (associativity scan)", n, assoc_bound)
     rows = [tuple(row) for row in table]
     for a in range(n):
         ra = rows[a]
@@ -245,12 +265,12 @@ def subgroups(G: FiniteGroup, *, bound: int | None = None) -> list[frozenset[int
     Enumerated by closing H u {g} for every known subgroup H and g outside it;
     every subgroup arises this way from the trivial one.
     """
-    limit = bound if bound is not None else enumeration_bound()
-    if G.order > limit:
-        raise BoundExceeded("group order", G.order, limit)
-    cached = G._cache.get("subgroups")
-    if cached is not None:
-        return list(cached)
+    check_bound("group order", G.order, bound)
+    return list(_subgroups(G))
+
+
+@memoised
+def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     base = frozenset({0})
     seen = {base}
     frontier = [base]
@@ -263,9 +283,7 @@ def subgroups(G: FiniteGroup, *, bound: int | None = None) -> list[frozenset[int
             if K not in seen:
                 seen.add(K)
                 frontier.append(K)
-    out = sorted(seen, key=subset_key)
-    G._cache["subgroups"] = out
-    return list(out)
+    return sorted(seen, key=subset_key)
 
 
 def generating_set(G: FiniteGroup) -> tuple[int, ...]:
@@ -329,21 +347,16 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
             yield f
 
 
-def _element_orders(G: FiniteGroup) -> list[int]:
-    return [G.element_order(g) for g in G.elements()]
-
-
 def automorphism_group(G: FiniteGroup, *, bound: int | None = None) -> list[Perm]:
     """All automorphisms of G, sorted; generator images pruned by element order."""
-    limit = bound if bound is not None else enumeration_bound()
-    if G.order > limit:
-        raise BoundExceeded("group order", G.order, limit)
-    cached = G._cache.get("automorphisms")
-    if cached is None:
-        orders = _element_orders(G)
-        cached = sorted(_isomorphisms(G, G, orders, orders))
-        G._cache["automorphisms"] = cached
-    return list(cached)
+    check_bound("group order", G.order, bound)
+    return list(_automorphisms(G))
+
+
+@memoised
+def _automorphisms(G: FiniteGroup) -> list[Perm]:
+    orders = G._orders()
+    return sorted(_isomorphisms(G, G, orders, orders))
 
 
 def inner_automorphisms(G: FiniteGroup) -> list[Perm]:
@@ -380,10 +393,7 @@ def _pair_pool(G: FiniteGroup, ambient: str, bound: int | None) -> PermTable:
         pool = PermTable(inner_automorphisms(G))
     else:
         raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'inner'")
-    limit = bound if bound is not None else holomorph_bound()
-    total = G.order * len(pool)
-    if total > limit:
-        raise BoundExceeded("ambient sub-holomorph order", total, limit)
+    check_bound("ambient sub-holomorph order", G.order * len(pool), bound, holomorph_bound)
     return pool
 
 
@@ -511,12 +521,10 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph", *,
 def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup, *,
                       bound: int | None = None) -> Perm | None:
     """An isomorphism G1 -> G2 as a permutation, or None."""
-    limit = bound if bound is not None else enumeration_bound()
-    if G1.order > limit:
-        raise BoundExceeded("group order", G1.order, limit)
+    check_bound("group order", G1.order, bound)
     if G1.order != G2.order or G1.order_histogram() != G2.order_histogram():
         return None
-    return next(_isomorphisms(G1, G2, _element_orders(G1), _element_orders(G2)), None)
+    return next(_isomorphisms(G1, G2, G1._orders(), G2._orders()), None)
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
@@ -541,8 +549,7 @@ def is_simple(G: FiniteGroup) -> bool:
 
 
 def assert_simple_nonabelian(G: FiniteGroup, *, bound: int = 360) -> None:
-    if G.order > bound:
-        raise BoundExceeded("group order (simplicity scan)", G.order, bound)
+    check_bound("group order (simplicity scan)", G.order, bound)
     if G.is_abelian:
         raise NotSimple(G.order, "group is abelian")
     if not is_simple(G):

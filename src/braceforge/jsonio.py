@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .braces import SkewBrace, validate_brace
 from .construct import CensusEntry
-from .errors import GroupValidationError, InvalidDocument, NoIdentityAtZero
+from .errors import GroupValidationError, InvalidDocument, NoIdentityAtZero, OutputError
 from .groups import FiniteGroup, Perm, validate_group
 from .ybe import Solution, validate_solution
 
@@ -29,7 +29,10 @@ def dumps_line(obj: Any) -> str:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def read_object(path: str | Path) -> dict:
@@ -48,6 +51,21 @@ class LoadReport:
 
     def to_json(self) -> dict:
         return {"relabeling": list(self.relabeling) if self.relabeling else None}
+
+
+def _square_tables(data: dict, *keys: str) -> list:
+    """data[key] for each key, refused unless all are n x n lists of lists for one n.
+
+    Only the shape is checked, and no validator runs; the validators judge the entries.
+    """
+    tables = [data[key] for key in keys]
+    n = len(tables[0]) if isinstance(tables[0], (list, tuple)) else -1
+    for key, table in zip(keys, tables):
+        if not (isinstance(table, (list, tuple)) and len(table) == n
+                and all(isinstance(row, (list, tuple)) and len(row) == n for row in table)):
+            raise InvalidDocument(f"{key!r} is not a square list of lists"
+                                  + (f" of the size of {keys[0]!r}" if key != keys[0] else ""))
+    return tables
 
 
 def _find_identity(table: Sequence[Sequence[int]]) -> int:
@@ -78,7 +96,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 
 def load_group_data(data: dict) -> tuple[FiniteGroup, LoadReport]:
-    table = data["table"]
+    table, = _square_tables(data, "table")
     if len(table) != data.get("order", len(table)):
         raise GroupValidationError("declared order does not match the table")
     e = _find_identity(table)
@@ -100,7 +118,7 @@ def brace_to_json(B: SkewBrace) -> dict:
 
 
 def load_brace_data(data: dict) -> tuple[SkewBrace, LoadReport]:
-    add, mul = data["add"], data["mul"]
+    add, mul = _square_tables(data, "add", "mul")
     if len(add) != data.get("order", len(add)):
         raise GroupValidationError("declared order does not match the tables")
     e = _find_identity(add)
@@ -121,7 +139,7 @@ def solution_to_json(S: Solution) -> dict:
 
 
 def load_solution_data(data: dict) -> Solution:
-    return validate_solution(data["lambda"], data["rho"])
+    return validate_solution(*_square_tables(data, "lambda", "rho"))
 
 
 def load_solution(path: str | Path) -> Solution:

@@ -23,19 +23,14 @@ from .braces import (
     subbraces,
 )
 from .errors import InternalInvariant, NotAnIdeal, NotSoluble, TheoremViolation
-from .groups import subgroups, subset_key
+from .groups import memoised, subgroups, subset_key
 
 ZERO = frozenset({0})
 
 
 def all_ideals(B: SkewBrace, *, bound: int | None = None) -> list[frozenset[int]]:
     """Every ideal of B: additive subgroups passing the ideal scans."""
-    cached = B._cache.get("ideals")
-    if cached is None:
-        cached = [S for S in subgroups(B.add, bound=bound)
-                  if classify_subset(B, S).ideal]
-        B._cache["ideals"] = cached
-    return list(cached)
+    return [S for S in subgroups(B.add, bound=bound) if classify_subset(B, S).ideal]
 
 
 def minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
@@ -112,19 +107,25 @@ class SeriesWitness:
         return len(self.chain) - 1
 
 
+def abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[int]) -> str | None:
+    """None when lower is an ideal of the subbrace upper with abelian quotient, else why not."""
+    sb = sub_brace(B, upper)
+    local = sb.to_local(lower)
+    if not classify_subset(sb.brace, local).ideal:
+        return "is not an ideal of"
+    return None if quotient(sb.brace, local).brace.is_abelian else "has a non-abelian quotient in"
+
+
 def _abelian_step_certificate(B: SkewBrace, parent: frozenset[int],
                               member: frozenset[int]) -> dict:
-    sb = sub_brace(B, parent)
-    local = sb.to_local(member)
-    if not classify_subset(sb.brace, local).ideal:
-        raise InternalInvariant("series member is not an ideal of its predecessor")
-    q = quotient(sb.brace, local)
-    if not q.brace.is_abelian:
-        raise InternalInvariant("series factor is not abelian")
+    problem = abelian_step(B, parent, member)
+    if problem:
+        raise InternalInvariant(f"series member {problem} its predecessor")
     return {"member": sorted(member), "ideal_of_predecessor": True,
-            "quotient_abelian": True, "factor_order": q.brace.order}
+            "quotient_abelian": True, "factor_order": len(parent) // len(member)}
 
 
+@memoised
 def derived_series(B: SkewBrace) -> SeriesWitness:
     """B, [B,B], [[B,B],[B,B]], ... until stabilization.
 
@@ -147,11 +148,7 @@ def derived_series(B: SkewBrace) -> SeriesWitness:
 
 
 def is_soluble(B: SkewBrace) -> bool:
-    flag = B._cache.get("soluble")
-    if flag is None:
-        flag = derived_series(B).terminated
-        B._cache["soluble"] = flag
-    return flag
+    return derived_series(B).terminated
 
 
 def derived_length(B: SkewBrace) -> int:
@@ -188,13 +185,10 @@ def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
             return [(current,)]
         sb = sub_brace(B, current)
         out = []
-        full = sb.brace.carrier()
         for local in all_ideals(sb.brace):
-            if local == full:
-                continue
-            if not quotient(sb.brace, local).brace.is_abelian:
-                continue
             member = sb.to_global(local)
+            if member == current or abelian_step(B, current, member):
+                continue
             for tail in chains_from(member):
                 out.append((current,) + tail)
         return out
@@ -226,6 +220,7 @@ def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
     return ascend([ZERO])
 
 
+@memoised
 def chief_series(B: SkewBrace) -> SeriesWitness:
     """The first chief series of all_chief_series: always the least minimal ideal.
 

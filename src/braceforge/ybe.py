@@ -22,8 +22,8 @@ from .errors import (
     QuotientNotAbelian,
     SeriesInvalid,
 )
-from .structure import SeriesWitness, ZERO
-from .groups import subset_key
+from .structure import SeriesWitness, ZERO, abelian_step
+from .groups import memoised, subset_key
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,7 @@ def flip_solution(m: int) -> Solution:
     return Solution(m, lam, lam)
 
 
+@memoised
 def solution_from_brace(B: SkewBrace) -> Solution:
     """The solution r(a, b) = (lambda_a(b), lambda_a(b)^{-1} a b) on B."""
     rho = tuple(tuple(B.times(B.times(B.tinv(B.lam[a][b]), a), b)
@@ -292,12 +293,9 @@ def _validate_abelian_series(B: SkewBrace, series: SeriesWitness) -> None:
     for i in range(len(chain) - 1):
         if not chain[i + 1] < chain[i]:
             raise SeriesInvalid(f"chain is not strictly descending at step {i}")
-        sb = sub_brace(B, chain[i])
-        local = sb.to_local(chain[i + 1])
-        if not classify_subset(sb.brace, local).ideal:
-            raise SeriesInvalid(f"member {i + 1} is not an ideal of member {i}")
-        if not quotient(sb.brace, local).brace.is_abelian:
-            raise SeriesInvalid(f"factor {i}/{i + 1} is not abelian")
+        problem = abelian_step(B, chain[i], chain[i + 1])
+        if problem:
+            raise SeriesInvalid(f"member {i + 1} {problem} member {i}")
 
 
 def multidecomposition_from_series(B: SkewBrace, series: SeriesWitness) -> MultidecompositionWitness:

@@ -6,11 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braceforge import jsonio
+from braceforge import cli, jsonio
 from braceforge.braces import is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
-from braceforge.errors import Degenerate, GroupInvalid, GroupValidationError
+from braceforge.errors import (
+    Degenerate,
+    GroupInvalid,
+    GroupValidationError,
+    InvalidDocument,
+    TheoremViolation,
+)
+from braceforge.structure import ChiefFactorReport
 from braceforge.ybe import flip_solution
 
 
@@ -59,6 +66,16 @@ class TestBraceFiles:
         table = [[0, True], [True, 0]]
         with pytest.raises(GroupInvalid):
             jsonio.load_brace_data({"add": table, "mul": [[0, 1], [1, 0]]})
+
+    @pytest.mark.parametrize("add, mul", [
+        (5, 5),
+        ([1, 2], [1, 2]),
+        ([[1, 0], [0]], [[0, 1], [1, 0]]),  # ragged: the identity search would index past a row
+        ([[0, 1], [1, 0]], [[0]]),
+    ])
+    def test_table_shape_refused(self, add, mul):
+        with pytest.raises(InvalidDocument):
+            jsonio.load_brace_data({"add": add, "mul": mul})
 
 
 class TestSolutionFiles:
@@ -117,6 +134,13 @@ class TestCliEnumerate:
             assert set(record) >= {"order", "add", "mul", "provenance"}
 
 
+MALFORMED = [
+    ("analyze", {"add": 5, "mul": 5}),
+    ("analyze", {"add": [1, 2], "mul": [1, 2]}),
+    ("decompose", {"lambda": 5, "rho": 5}),
+]
+
+
 class TestCliAnalyze:
     def test_dossier(self, tmp_path):
         src = write(tmp_path, "z4.json",
@@ -135,12 +159,37 @@ class TestCliAnalyze:
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent.json"]) == 4
 
+    def test_unreadable_input_exit_code(self, tmp_path, capsys):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"add": "\xff"}')
+        for path in (tmp_path, not_utf8):  # a directory, then undecodable bytes
+            assert main(["analyze", str(path)]) == 4
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("validation failed:")
+
     @pytest.mark.parametrize("text", ["5", "[1, 2]", '"brace"'])
     def test_non_object_exit_code(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["analyze", str(bad)]) == 4
         assert "not an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, data", MALFORMED)
+    def test_malformed_tables_exit_code(self, tmp_path, capsys, command, data):
+        bad = write(tmp_path, "bad.json", data)
+        assert main([command, bad]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation failed:")
+        assert "Traceback" not in err
+
+    def test_unwritable_out_exit_code(self, tmp_path, capsys):
+        src = write(tmp_path, "z4.json",
+                    jsonio.brace_to_json(trivial_brace(cyclic(4))))
+        out = tmp_path / "missing" / "d.json"
+        assert main(["analyze", src, "--out", str(out)]) == 7
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("I/O error:")
+        assert not out.exists()
 
 
 class TestCliDecompose:
@@ -216,6 +265,27 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert "--max-order must be at least 1" in captured.err
         assert "pass" not in captured.out and not out.exists()
+
+
+class TestCliTheoremViolation:
+    REPORT = ChiefFactorReport(frozenset({0, 2}), frozenset(range(4)), True, "neither",
+                               None, None, None, None)
+
+    @pytest.mark.parametrize("counterexample, expected", [
+        (REPORT, REPORT.to_json()),
+        ((((0, 1), (1, 0)), frozenset({1, 0}), 3), [[[0, 1], [1, 0]], [0, 1], 3]),
+    ])
+    def test_counterexample_is_json(self, monkeypatch, capsys, counterexample, expected):
+        def violated(b, exhaustive=False):
+            raise TheoremViolation("chief factor is not elementary abelian", counterexample)
+
+        monkeypatch.setattr(cli, "verify_soluble_chief_factors", violated)
+        assert main(["verify", "B", "--max-order", "2"]) == 5
+        first, rest = capsys.readouterr().err.split("\n", 1)
+        assert first.startswith("THEOREM VIOLATION")
+        record = json.loads(rest)
+        assert record == {"statement": "chief factor is not elementary abelian",
+                          "counterexample": expected}
 
 
 class TestCliEnvironment:

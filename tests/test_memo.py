@@ -1,0 +1,102 @@
+"""Memoisation on the parent object: derived braces, series and the brace solution."""
+
+import json
+
+import pytest
+
+from braceforge import ybe
+from braceforge.braces import quotient, sub_brace, subbraces, trivial_brace, validate_brace
+from braceforge.catalog import cyclic
+from braceforge.cli import main
+from braceforge.construct import enumerate_braces
+from braceforge.errors import BoundExceeded, NotAnIdeal
+from braceforge.structure import all_ideals, chief_series, derived_series, dossier
+from braceforge.ybe import solution_from_brace
+
+
+@pytest.fixture(scope="module")
+def census8():
+    return [e.brace for n in range(1, 9) for e in enumerate_braces(n)]
+
+
+def tables(B):
+    return B.add.table, B.mul.table
+
+
+class TestSameObject:
+    def test_sub_brace(self):
+        B = trivial_brace(cyclic(8))
+        first = sub_brace(B, [0, 2, 4, 6])
+        assert sub_brace(B, frozenset({0, 2, 4, 6})) is first
+        assert sub_brace(B, (6, 4, 2, 0)) is first
+
+    def test_quotient(self):
+        B = trivial_brace(cyclic(8))
+        assert quotient(B, {0, 4}) is quotient(B, [4, 0])
+
+    def test_solution_and_series(self):
+        B = trivial_brace(cyclic(6))
+        assert solution_from_brace(B) is solution_from_brace(B)
+        assert derived_series(B) is derived_series(B)
+        assert chief_series(B) is chief_series(B)
+
+    def test_lists_are_fresh(self):
+        B = trivial_brace(cyclic(8))
+        subbraces(B).clear()
+        all_ideals(B).clear()
+        assert len(subbraces(B)) == len(all_ideals(B)) == 4
+
+
+class TestChecksOnEveryCall:
+    def test_non_subbrace_raises_twice(self):
+        B = trivial_brace(cyclic(4))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                sub_brace(B, {0, 1})
+
+    def test_non_ideal_raises_twice(self):
+        B = trivial_brace(cyclic(4))
+        for _ in range(2):
+            with pytest.raises(NotAnIdeal):
+                quotient(B, {0, 1})
+
+    @pytest.mark.parametrize("fn", [subbraces, all_ideals])
+    def test_bound_checked_on_cache_hit(self, fn):
+        B = trivial_brace(cyclic(8))
+        assert len(fn(B)) == 4
+        with pytest.raises(BoundExceeded):
+            fn(B, bound=1)
+        with pytest.raises(BoundExceeded):
+            fn(trivial_brace(cyclic(8)), bound=1)
+
+
+def test_memoised_objects_match_fresh_copies(census8):
+    # memoised sub_brace/quotient results equal ones built on a cache-empty copy
+    for B in census8:
+        dossier(B)  # fills the caches along every code path the dossier takes
+        fresh = validate_brace(B.add.table, B.mul.table)
+        for S in subbraces(B):
+            got, want = sub_brace(B, S), sub_brace(fresh, S)
+            assert got.elements == want.elements
+            assert tables(got.brace) == tables(want.brace)
+        for I in all_ideals(B):
+            got, want = quotient(B, I), quotient(fresh, I)
+            assert got.projection == want.projection
+            assert got.representatives == want.representatives
+            assert tables(got.brace) == tables(want.brace)
+
+
+def test_verify_d_validates_each_brace_solution_once(monkeypatch, tmp_path):
+    calls = []
+    original = ybe.validate_solution
+
+    def counting(lambda_tab, rho_tab):
+        calls.append((lambda_tab, rho_tab))
+        return original(lambda_tab, rho_tab)
+
+    monkeypatch.setattr(ybe, "validate_solution", counting)
+    out = tmp_path / "d.json"
+    assert main(["verify", "D", "--max-order", "8", "--out", str(out)]) == 0
+    # every soluble brace needs its solution, so the total pins one call each
+    soluble = json.loads(out.read_text())["soluble"]
+    assert soluble > 0 and len(calls) == soluble
