@@ -23,6 +23,7 @@ from .groups import (
     Perm,
     _isomorphisms,
     check_bound,
+    enumeration_bound,
     identity_perm,
     memoised,
     subgroups,
@@ -109,18 +110,17 @@ def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], 
 
 
 def validate_brace(add_table: Sequence[Sequence[int]],
-                   mul_table: Sequence[Sequence[int]], *,
-                   assoc_bound: int | None = None) -> SkewBrace:
+                   mul_table: Sequence[Sequence[int]]) -> SkewBrace:
     """Validate both groups and the compatibility law a(b+c) = ab - a + ac.
 
     The scan is lexicographic, so a failure reports the first witness triple.
     """
     try:
-        add = validate_group(add_table, assoc_bound=assoc_bound)
+        add = validate_group(add_table)
     except GroupValidationError as exc:
         raise GroupInvalid("add", exc) from exc
     try:
-        mul = validate_group(mul_table, assoc_bound=assoc_bound)
+        mul = validate_group(mul_table)
     except GroupValidationError as exc:
         raise GroupInvalid("mul", exc) from exc
     if add.order != mul.order:
@@ -229,9 +229,9 @@ def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
     return SubsetFlags(subbrace, left_ideal, ideal)
 
 
-def subbraces(B: SkewBrace, *, bound: int | None = None) -> list[frozenset[int]]:
+def subbraces(B: SkewBrace) -> list[frozenset[int]]:
     """All subbraces: additive subgroups also closed under the product."""
-    return [S for S in subgroups(B.add, bound=bound) if classify_subset(B, S).subbrace]
+    return [S for S in subgroups(B.add) if classify_subset(B, S).subbrace]
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,10 @@ def sub_brace(B: SkewBrace, S: Iterable[int]) -> SubBrace:
     key = frozenset(S)
     if not classify_subset(B, key).subbrace:
         raise ValueError(f"{sorted(key)} is not a subbrace")
+    if len(key) == B.order:
+        # B is its own whole subbrace; built fresh, since stored in B._cache it
+        # would make B reference itself and outlive its last user until a GC pass
+        return SubBrace(B, tuple(B.elements()))
     return _sub_brace(B, key)
 
 
@@ -288,6 +292,10 @@ def quotient(B: SkewBrace, I: Iterable[int]) -> Quotient:
     ideal = frozenset(I)
     if not classify_subset(B, ideal).ideal:
         raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
+    if len(ideal) == 1:
+        # B is its own quotient by {0}; built fresh for the reason in sub_brace
+        identity = tuple(B.elements())
+        return Quotient(B, identity, identity)
     return _quotient(B, ideal)
 
 
@@ -321,10 +329,9 @@ def subbrace_product(B: SkewBrace, S: Iterable[int], I: Iterable[int]) -> frozen
     return product
 
 
-def direct_product(B1: SkewBrace, B2: SkewBrace, *,
-                   bound: int | None = None) -> SkewBrace:
+def direct_product(B1: SkewBrace, B2: SkewBrace) -> SkewBrace:
     """Componentwise operations on pairs (a1, a2) -> a1*|B2| + a2."""
-    check_bound("product order", B1.order * B2.order, bound)
+    check_bound("product order", B1.order * B2.order, enumeration_bound())
     n2 = B2.order
     pairs = list(itertools.product(B1.elements(), B2.elements()))
     add = [[B1.plus(a1, b1) * n2 + B2.plus(a2, b2) for b1, b2 in pairs]
@@ -361,15 +368,14 @@ def _brace_signature(B: SkewBrace, a: int) -> tuple[int, int, int]:
     return (B.add.element_order(a), B.mul.element_order(a), lambda_orbit_sizes(B)[a])
 
 
-def is_isomorphic(B1: SkewBrace, B2: SkewBrace, *,
-                  bound: int | None = None) -> Perm | None:
+def is_isomorphic(B1: SkewBrace, B2: SkewBrace) -> Perm | None:
     """A bijection preserving both operations, or None.
 
     The first additive isomorphism, pruned by the (additive order,
     multiplicative order, lambda-orbit size) signature, that also preserves
     the product.
     """
-    check_bound("brace order", B1.order, bound)
+    check_bound("brace order", B1.order, enumeration_bound())
     if B1.order != B2.order:
         return None
     sig1 = [_brace_signature(B1, a) for a in B1.elements()]

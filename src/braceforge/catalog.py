@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache
+from typing import Callable
 
 from .errors import CatalogMissing
 from .groups import FiniteGroup, validate_group
@@ -99,39 +100,42 @@ class CatalogGroup:
     group: FiniteGroup
 
 
+# Built one order at a time on first use, so a small BRACEFORGE_BOUND limits
+# only the orders that are asked for.
+_CONSTRUCTIONS: dict[int, Callable[[], list[FiniteGroup]]] = {
+    1: lambda: [cyclic(1)],
+    2: lambda: [cyclic(2)],
+    3: lambda: [cyclic(3)],
+    4: lambda: [cyclic(4), direct_product_group(cyclic(2), cyclic(2))],
+    5: lambda: [cyclic(5)],
+    6: lambda: [cyclic(6), symmetric_group(3)],
+    7: lambda: [cyclic(7)],
+    8: lambda: [cyclic(8), direct_product_group(cyclic(4), cyclic(2)),
+                direct_product_group(direct_product_group(cyclic(2), cyclic(2)), cyclic(2),
+                                     name="C2xC2xC2"),
+                dihedral(4), dicyclic(2)],
+    9: lambda: [cyclic(9), direct_product_group(cyclic(3), cyclic(3))],
+    10: lambda: [cyclic(10), dihedral(5)],
+    11: lambda: [cyclic(11)],
+    12: lambda: [cyclic(12), direct_product_group(cyclic(6), cyclic(2)),
+                 dihedral(6), alternating_group(4), dicyclic(3)],
+    13: lambda: [cyclic(13)],
+    14: lambda: [cyclic(14), dihedral(7)],
+    15: lambda: [cyclic(15)],
+}
+
+
 @cache
-def _catalog() -> dict[int, tuple[CatalogGroup, ...]]:
-    c2, c3 = cyclic(2), cyclic(3)
-    by_order: dict[int, list[FiniteGroup]] = {
-        1: [cyclic(1)],
-        2: [c2],
-        3: [c3],
-        4: [cyclic(4), direct_product_group(c2, c2)],
-        5: [cyclic(5)],
-        6: [cyclic(6), symmetric_group(3)],
-        7: [cyclic(7)],
-        8: [cyclic(8), direct_product_group(cyclic(4), c2),
-            direct_product_group(direct_product_group(c2, c2), c2, name="C2xC2xC2"),
-            dihedral(4), dicyclic(2)],
-        9: [cyclic(9), direct_product_group(c3, c3)],
-        10: [cyclic(10), dihedral(5)],
-        11: [cyclic(11)],
-        12: [cyclic(12), direct_product_group(cyclic(6), c2),
-             dihedral(6), alternating_group(4), dicyclic(3)],
-        13: [cyclic(13)],
-        14: [cyclic(14), dihedral(7)],
-        15: [cyclic(15)],
-    }
-    return {n: tuple(CatalogGroup(i, g.name or f"order{n}#{i}", g)
-                     for i, g in enumerate(groups))
-            for n, groups in by_order.items()}
+def _catalog_of_order(n: int) -> tuple[CatalogGroup, ...]:
+    return tuple(CatalogGroup(i, g.name or f"order{n}#{i}", g)
+                 for i, g in enumerate(_CONSTRUCTIONS[n]()))
 
 
 def groups_of_order(n: int) -> list[CatalogGroup]:
     """All groups of order n up to isomorphism, for n <= 15."""
-    if n not in _catalog():
+    if n not in _CONSTRUCTIONS:
         raise CatalogMissing(n)
-    return list(_catalog()[n])
+    return list(_catalog_of_order(n))
 
 
 @cache

@@ -1,11 +1,13 @@
 """Batch command-line frontend: census, dossiers, theorem sweeps, decompositions.
 
 Exit codes: 0 pass, 2 missing catalog, 3 bound exceeded or BRACEFORGE_BOUND
-not a positive integer, 4 invalid input (including a document that is not a
-JSON object, tables that are not square lists of lists and verify
---max-order below 1), 5 theorem violation (the counterexample follows on
-stderr as JSON), 6 not soluble, 7 an output file could not be written,
-1 internal error.  All output is deterministic.
+not a positive integer (checked at startup, whatever the command), 4 invalid
+input (including a document that is not a JSON object, tables that are not
+square lists of lists and verify --max-order below 1), 5 theorem violation
+(the counterexample follows on stderr as JSON, with the brace it failed on
+when there is one), 6 not soluble, 7 an output file could not be written,
+1 internal error.  BRACEFORGE_BOUND is the only size setting; see
+groups.enumeration_bound.  All output is deterministic.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .errors import (
     SeriesInvalid,
     TheoremViolation,
 )
+from .groups import check_bound, enumeration_bound
 from .structure import (
     _prime_power,
     all_ideals,
@@ -161,9 +164,7 @@ def cmd_decompose(args) -> int:
                    "decomposable": ok,
                    "failure": list(witness) if witness else None}, args.out)
             return EXIT_OK
-        if solution.size > FIND_DECOMPOSITION_MAX:
-            raise BoundExceeded("exhaustive decomposition search size",
-                                solution.size, FIND_DECOMPOSITION_MAX)
+        check_bound("exhaustive decomposition search size", solution.size, FIND_DECOMPOSITION_MAX)
         found = find_decomposition(solution)
         _emit({"input": "solution", "decomposable": found is not None,
                "partition": found.to_json() if found else None}, args.out)
@@ -350,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        enumeration_bound()  # a bad BRACEFORGE_BOUND fails every command, not only those it limits
         return args.fn(args)
     except CatalogMissing as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -366,8 +368,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except TheoremViolation as exc:
         sys.stderr.write(f"THEOREM VIOLATION (implementation bug): {exc}\n")
         if exc.counterexample is not None:
-            sys.stderr.write(jsonio.dumps({"statement": str(exc),
-                                           "counterexample": _json_value(exc.counterexample)}))
+            record = {"statement": str(exc), "counterexample": _json_value(exc.counterexample)}
+            if exc.brace is not None:
+                record["brace"] = jsonio.brace_to_json(exc.brace)
+            sys.stderr.write(jsonio.dumps(record))
         return EXIT_THEOREM
     except NotSoluble as exc:
         sys.stderr.write(f"error: {exc}\n")

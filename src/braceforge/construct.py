@@ -77,16 +77,15 @@ def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:
     return None, None
 
 
-def enumerate_braces_on(G: FiniteGroup, *, bound: int | None = None,
-                        identify: bool = True) -> list[CensusEntry]:
+def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
     """One entry per regular subgroup of Hol(G), canonically ordered."""
     entries = []
-    add_id, add_name = _identify_group(G) if identify else (None, None)
-    for H in regular_subgroups(G, "holomorph", bound=bound):
+    add_id, add_name = _identify_group(G)
+    for H in regular_subgroups(G, "holomorph"):
         brace = brace_from_regular_subgroup(G, H)
         if brace.lam != tuple(H.perm(g) for g in G.elements()):
             raise InternalInvariant("lambda maps differ from the defining subgroup")
-        mul_id, mul_name = _identify_group(brace.mul) if identify else (None, None)
+        mul_id, mul_name = _identify_group(brace.mul)
         entries.append(CensusEntry(brace, add_id, add_name, mul_id, mul_name, H))
     return entries
 
@@ -107,8 +106,8 @@ def _canonical_mul_table(G: FiniteGroup, brace: SkewBrace) -> tuple[tuple[int, .
     return best
 
 
-def enumerate_braces(n: int, *, extra_groups: list[FiniteGroup] | None = None,
-                     bound: int | None = None) -> list[CensusEntry]:
+def enumerate_braces(n: int, *,
+                     extra_groups: list[FiniteGroup] | None = None) -> list[CensusEntry]:
     """All skew braces of order n up to isomorphism, deterministically ordered.
 
     Every isomorphism class is represented by the lexicographically least
@@ -124,7 +123,7 @@ def enumerate_braces(n: int, *, extra_groups: list[FiniteGroup] | None = None,
     for gid, gname, G in named:
         if G.order != n:
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
-        raw = enumerate_braces_on(G, bound=bound)
+        raw = enumerate_braces_on(G)
         by_key: dict[tuple, CensusEntry] = {}
         for entry in raw:
             key = _canonical_mul_table(G, entry.brace)
@@ -164,8 +163,7 @@ def oracle_enumerate_braces(n: int) -> list[SkewBrace]:
     return found
 
 
-def simple_inner_regular_subgroups(G: FiniteGroup, *,
-                                   bound: int | None = None) -> list[RegularSubgroup]:
+def simple_inner_regular_subgroups(G: FiniteGroup) -> list[RegularSubgroup]:
     """Regular subgroups of the inner sub-holomorph of G isomorphic to G.
 
     G must be simple and non-abelian.  For such G these are exactly two:
@@ -174,7 +172,7 @@ def simple_inner_regular_subgroups(G: FiniteGroup, *,
     assert_simple_nonabelian(G)
     target_hist = G.order_histogram()
     out = []
-    for H in regular_subgroups(G, "inner", bound=bound):
+    for H in regular_subgroups(G, "inner"):
         K = _group_unchecked(H.multiplication_table())
         if K.order_histogram() != target_hist:
             continue

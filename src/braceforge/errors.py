@@ -129,11 +129,13 @@ class HypothesisFailed(BraceforgeError):
 class TheoremViolation(BraceforgeError):
     """A machine-checked theorem failed on concrete data.
 
-    Firing signals a bug in this package, not a disproof.
+    Firing signals a bug in this package, not a disproof.  `brace`, when
+    given, is the brace the statement failed on, so the check can be re-run.
     """
 
-    def __init__(self, statement: str, counterexample=None):
+    def __init__(self, statement: str, counterexample=None, brace=None):
         self.counterexample = counterexample
+        self.brace = brace
         super().__init__(statement)
 
 

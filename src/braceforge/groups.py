@@ -2,7 +2,7 @@
 
 Everything downstream (braces, holomorphs, the census) works with the same
 representation: an immutable n x n table of indices, plus the inverse list.
-Enumeration operations carry explicit hard bounds so blow-ups fail loudly.
+Enumeration operations check hard bounds set by BRACEFORGE_BOUND, so blow-ups fail loudly.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ Perm = tuple[int, ...]
 
 DEFAULT_GROUP_BOUND = 200
 DEFAULT_HOLOMORPH_BOUND = 10000
+SIMPLICITY_SCAN_MAX_ORDER = 360
 
 
 def _env_bound() -> int | None:
@@ -46,22 +47,19 @@ def _env_bound() -> int | None:
     return bound
 
 
-def enumeration_bound(default: int = DEFAULT_GROUP_BOUND) -> int:
-    """Hard bound on group order for enumeration ops; BRACEFORGE_BOUND overrides."""
-    return _env_bound() or default
+def enumeration_bound() -> int:
+    """Hard bound on group order for enumeration ops: BRACEFORGE_BOUND, else 200."""
+    return _env_bound() or DEFAULT_GROUP_BOUND
 
 
-def holomorph_bound(default: int = DEFAULT_HOLOMORPH_BOUND) -> int:
-    """Hard bound on the ambient order of a regular-subgroup search."""
+def holomorph_bound() -> int:
+    """Hard bound on a regular-subgroup search's ambient order: max(10000, 50 * BRACEFORGE_BOUND)."""
     value = _env_bound()
-    # keep the default 1:50 ratio between the two bounds when overridden
-    return max(default, 50 * value) if value else default
+    return max(DEFAULT_HOLOMORPH_BOUND, 50 * value) if value else DEFAULT_HOLOMORPH_BOUND
 
 
-def check_bound(what: str, actual: int, bound: int | None,
-                default: Callable[[], int] = enumeration_bound) -> None:
-    """Raise BoundExceeded when actual is above bound (default() when bound is None)."""
-    limit = bound if bound is not None else default()
+def check_bound(what: str, actual: int, limit: int) -> None:
+    """Raise BoundExceeded when actual is above limit."""
     if actual > limit:
         raise BoundExceeded(what, actual, limit)
 
@@ -219,16 +217,15 @@ def _check_latin_with_identity(table: Sequence[Sequence[int]]) -> None:
             raise NoIdentityAtZero(a)
 
 
-def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None,
-                   assoc_bound: int | None = None) -> FiniteGroup:
+def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -> FiniteGroup:
     """Check the group axioms and return the group, or raise the first failure.
 
     Checks run in the order: closure/Latin square, identity at 0,
-    associativity (exhaustive for order <= assoc_bound), inverses.
+    associativity (exhaustive, for order <= enumeration_bound()), inverses.
     """
     _check_latin_with_identity(table)
     n = len(table)
-    check_bound("group order (associativity scan)", n, assoc_bound)
+    check_bound("group order (associativity scan)", n, enumeration_bound())
     rows = [tuple(row) for row in table]
     for a in range(n):
         ra = rows[a]
@@ -259,13 +256,13 @@ def _group_unchecked(table: Sequence[Sequence[int]], name: str | None = None) ->
     return FiniteGroup(rows, inverse, name)
 
 
-def subgroups(G: FiniteGroup, *, bound: int | None = None) -> list[frozenset[int]]:
+def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups of G, canonically ordered (size, then sorted members).
 
     Enumerated by closing H u {g} for every known subgroup H and g outside it;
     every subgroup arises this way from the trivial one.
     """
-    check_bound("group order", G.order, bound)
+    check_bound("group order", G.order, enumeration_bound())
     return list(_subgroups(G))
 
 
@@ -347,9 +344,9 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
             yield f
 
 
-def automorphism_group(G: FiniteGroup, *, bound: int | None = None) -> list[Perm]:
+def automorphism_group(G: FiniteGroup) -> list[Perm]:
     """All automorphisms of G, sorted; generator images pruned by element order."""
-    check_bound("group order", G.order, bound)
+    check_bound("group order", G.order, enumeration_bound())
     return list(_automorphisms(G))
 
 
@@ -386,24 +383,24 @@ class PermTable:
         return len(self.perms)
 
 
-def _pair_pool(G: FiniteGroup, ambient: str, bound: int | None) -> PermTable:
+def _pair_pool(G: FiniteGroup, ambient: str) -> PermTable:
     if ambient == "holomorph":
         pool = PermTable(automorphism_group(G))
     elif ambient == "inner":
         pool = PermTable(inner_automorphisms(G))
     else:
         raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'inner'")
-    check_bound("ambient sub-holomorph order", G.order * len(pool), bound, holomorph_bound)
+    check_bound("ambient sub-holomorph order", G.order * len(pool), holomorph_bound())
     return pool
 
 
-def holomorph(G: FiniteGroup, *, bound: int | None = None) -> FiniteGroup:
+def holomorph(G: FiniteGroup) -> FiniteGroup:
     """The semidirect product of G by its full automorphism group.
 
     Pairs (g, phi) are indexed as g*|Aut| + i with (0, id) at index 0 and the
     product (g, phi)(h, psi) = (g phi(h), phi psi).
     """
-    pool = _pair_pool(G, "holomorph", bound)
+    pool = _pair_pool(G, "holomorph")
     k = len(pool)
     n = G.order
     table = []
@@ -449,8 +446,7 @@ class RegularSubgroup:
                      for g in G.elements())
 
 
-def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph", *,
-                      bound: int | None = None) -> list[RegularSubgroup]:
+def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
     """Every regular subgroup of the chosen ambient, canonically ordered.
 
     Backtracking over the map g -> phi_g: the subgroup law forces
@@ -458,7 +454,7 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph", *,
     through the generated closure.  Partial closures must stay injective on
     first coordinates and have size dividing |G|.
     """
-    pool = _pair_pool(G, ambient, bound)
+    pool = _pair_pool(G, ambient)
     n = G.order
     comp = pool.comp
     perms = pool.perms
@@ -518,10 +514,9 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph", *,
     return [RegularSubgroup(G, perms, r) for r in results]
 
 
-def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup, *,
-                      bound: int | None = None) -> Perm | None:
+def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Perm | None:
     """An isomorphism G1 -> G2 as a permutation, or None."""
-    check_bound("group order", G1.order, bound)
+    check_bound("group order", G1.order, enumeration_bound())
     if G1.order != G2.order or G1.order_histogram() != G2.order_histogram():
         return None
     return next(_isomorphisms(G1, G2, G1._orders(), G2._orders()), None)
@@ -548,8 +543,8 @@ def is_simple(G: FiniteGroup) -> bool:
     return all(len(normal_closure(G, {g})) == G.order for g in range(1, G.order))
 
 
-def assert_simple_nonabelian(G: FiniteGroup, *, bound: int = 360) -> None:
-    check_bound("group order (simplicity scan)", G.order, bound)
+def assert_simple_nonabelian(G: FiniteGroup) -> None:
+    check_bound("group order (simplicity scan)", G.order, SIMPLICITY_SCAN_MAX_ORDER)
     if G.is_abelian:
         raise NotSimple(G.order, "group is abelian")
     if not is_simple(G):

@@ -28,9 +28,9 @@ from .groups import memoised, subgroups, subset_key
 ZERO = frozenset({0})
 
 
-def all_ideals(B: SkewBrace, *, bound: int | None = None) -> list[frozenset[int]]:
+def all_ideals(B: SkewBrace) -> list[frozenset[int]]:
     """Every ideal of B: additive subgroups passing the ideal scans."""
-    return [S for S in subgroups(B.add, bound=bound) if classify_subset(B, S).ideal]
+    return [S for S in subgroups(B.add) if classify_subset(B, S).ideal]
 
 
 def minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
@@ -387,20 +387,20 @@ def verify_soluble_chief_factors(B: SkewBrace, *, exhaustive: bool = False) -> S
             report = classify_chief_factor(B, lower, upper)
             if not report.abelian:
                 raise TheoremViolation("chief factor of a soluble brace is not abelian",
-                                       report)
+                                       report, B)
             if report.p_elementary is None:
                 raise TheoremViolation("chief factor is not elementary abelian",
-                                       report)
+                                       report, B)
             if report.kind not in ("frattini", "complemented"):
                 raise TheoremViolation("chief factor neither Frattini nor complemented",
-                                       report)
+                                       report, B)
             reports.append(report)
     indices = []
     for S in maximal_subbraces(B):
         index = B.order // len(S)
         if _prime_power(index) is None:
             raise TheoremViolation("maximal subbrace of non-prime-power index",
-                                   (sorted(S), index))
+                                   (sorted(S), index), B)
         indices.append((tuple(sorted(S)), index))
     return SolubleStructureReport(B.order, series, tuple(reports), tuple(indices))
 
@@ -435,7 +435,7 @@ def verify_no_proper_subbraces(braces: list[SkewBrace]) -> SubbraceFreeReport:
         if not (B.is_trivial and _prime_power(B.order) == B.order):
             raise TheoremViolation(
                 "brace without proper subbraces is not trivial of prime order",
-                (B.add.table, B.mul.table))
+                (B.add.table, B.mul.table), B)
         qualifying.append({"order": B.order, "trivial": True})
     return SubbraceFreeReport(len(braces), tuple(qualifying))
 
@@ -463,15 +463,15 @@ def verify_maximal_subbrace_dichotomy(B: SkewBrace, S: frozenset[int]) -> Maxima
         return MaximalSubbraceReport(S, True, None, None)
     if not classify_subset(B, S).ideal:
         raise TheoremViolation("maximal subbrace avoiding the annihilator is not an ideal",
-                               sorted(S))
+                               sorted(S), B)
     q = quotient(B, S).brace
     good = q.is_abelian and _prime_power(q.order) == q.order
     if not good:
         raise TheoremViolation("quotient by the maximal subbrace is not prime abelian",
-                               sorted(S))
+                               sorted(S), B)
     if not derived_ideal(B) <= S:
         raise TheoremViolation("derived ideal not contained in the ideal maximal subbrace",
-                               sorted(S))
+                               sorted(S), B)
     return MaximalSubbraceReport(S, False, True, True)
 
 
@@ -480,7 +480,7 @@ def verify_frattini_corollary(B: SkewBrace) -> bool:
     ok = (annihilator(B) & derived_ideal(B)) <= frattini(B)
     if not ok:
         raise TheoremViolation("annihilator-derived intersection escapes the Frattini subbrace",
-                               B.order)
+                               B.order, B)
     return True
 
 

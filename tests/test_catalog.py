@@ -2,7 +2,9 @@
 
 import pytest
 
+from braceforge import catalog
 from braceforge.catalog import MAX_CATALOG_ORDER, alternating_5, groups_of_order
+from braceforge.cli import main
 from braceforge.errors import CatalogMissing
 from braceforge.groups import group_isomorphism, validate_group
 
@@ -44,3 +46,17 @@ def test_alternating_five():
     assert not G.is_abelian
     # 1 identity, 15 double transpositions, 20 three-cycles, 24 five-cycles
     assert G.order_histogram() == ((1, 1), (2, 15), (3, 20), (5, 24))
+
+
+def test_small_bound_builds_only_requested_orders(monkeypatch, tmp_path, capsys):
+    assert main(["enumerate", "--order", "4", "--out", str(tmp_path / "free")]) == 0
+    free_out = capsys.readouterr().out
+    monkeypatch.setenv("BRACEFORGE_BOUND", "8")
+    for value in vars(catalog).values():  # rebuild the catalog under the bound
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    assert main(["enumerate", "--order", "4", "--out", str(tmp_path / "bounded")]) == 0
+    assert capsys.readouterr().out == free_out
+    assert (tmp_path / "bounded").read_bytes() == (tmp_path / "free").read_bytes()
+    assert main(["enumerate", "--order", "9"]) == 3
+    assert "= 9 exceeds the configured bound 8" in capsys.readouterr().err

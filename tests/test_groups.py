@@ -1,11 +1,16 @@
 """Finite group substrate: validation, subgroups, automorphisms, holomorphs."""
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import braceforge
+from braceforge import groups
 from braceforge.catalog import (
     alternating_5,
     alternating_group,
@@ -86,9 +91,11 @@ class TestValidateGroup:
         with pytest.raises(GroupValidationError):
             validate_group(table)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        table = cyclic(20).table
+        monkeypatch.setenv("BRACEFORGE_BOUND", "10")
         with pytest.raises(BoundExceeded):
-            validate_group(cyclic(20).table, assoc_bound=10)
+            validate_group(table)
 
 
 def brute_force_subgroups(G):
@@ -125,9 +132,11 @@ class TestSubgroups:
     def test_against_brute_force(self, G):
         assert subgroups(G) == brute_force_subgroups(G)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        G = cyclic(5)
+        monkeypatch.setenv("BRACEFORGE_BOUND", "4")
         with pytest.raises(BoundExceeded):
-            subgroups(cyclic(5), bound=4)
+            subgroups(G)
 
     def test_environment_bound_override(self, monkeypatch):
         monkeypatch.setenv("BRACEFORGE_BOUND", "4")
@@ -135,8 +144,9 @@ class TestSubgroups:
         assert fresh.order == 4
         with pytest.raises(BoundExceeded):
             validate_group(cyclic(5).table)
+        monkeypatch.setenv("BRACEFORGE_BOUND", "3")
         with pytest.raises(BoundExceeded):
-            subgroups(fresh, bound=3)
+            subgroups(fresh)
 
 
 def brute_force_automorphisms(G):
@@ -220,9 +230,11 @@ class TestHolomorph:
         H = holomorph(cyclic(4))
         validate_group(H.table)  # full axiom scan
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        # |Hol(C2 x C2)| = 24; BRACEFORGE_BOUND cannot bring this limit below 10000
+        monkeypatch.setattr(groups, "DEFAULT_HOLOMORPH_BOUND", 20)
         with pytest.raises(BoundExceeded):
-            holomorph(klein_four(), bound=20)
+            holomorph(klein_four())
 
 
 def brute_force_regular_subgroups(G):
@@ -277,9 +289,10 @@ class TestRegularSubgroups:
         b = [s.assignment for s in regular_subgroups(dihedral(4))]
         assert a == b == sorted(a)
 
-    def test_bound(self):
+    def test_bound(self, monkeypatch):
+        monkeypatch.setattr(groups, "DEFAULT_HOLOMORPH_BOUND", 10)
         with pytest.raises(BoundExceeded):
-            regular_subgroups(klein_four(), bound=10)
+            regular_subgroups(klein_four())
 
 
 class TestIsomorphism:
@@ -308,3 +321,28 @@ class TestSimplicity:
             assert_simple_nonabelian(alternating_group(4))
         with pytest.raises(NotSimple):
             assert_simple_nonabelian(cyclic(5))  # abelian
+
+    def test_scan_bound(self, monkeypatch):
+        monkeypatch.setattr(groups, "SIMPLICITY_SCAN_MAX_ORDER", 59)
+        with pytest.raises(BoundExceeded):
+            assert_simple_nonabelian(alternating_5())
+
+
+def test_no_per_call_bound_parameters():
+    # BRACEFORGE_BOUND and module constants are the only size limits
+    names = []
+    for info in pkgutil.iter_modules(braceforge.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the command line
+        module = importlib.import_module(f"braceforge.{info.name}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or not callable(value) \
+                    or not getattr(value, "__module__", "").startswith("braceforge"):
+                continue
+            try:
+                params = inspect.signature(value).parameters
+            except ValueError:
+                continue  # an exception class that keeps the builtin constructor
+            names += [f"{info.name}.{name}({p})" for p in ("bound", "assoc_bound", "identify")
+                      if p in params]
+    assert names == []

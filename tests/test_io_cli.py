@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braceforge import cli, jsonio
+from braceforge import cli, jsonio, structure
 from braceforge.braces import is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
@@ -287,14 +287,27 @@ class TestCliTheoremViolation:
         assert record == {"statement": "chief factor is not elementary abelian",
                           "counterexample": expected}
 
+    def test_record_can_be_rerun(self, monkeypatch, capsys):
+        monkeypatch.setattr(structure, "_prime_power", lambda n: None)
+        assert main(["verify", "B", "--max-order", "4"]) == 5
+        record = json.loads(capsys.readouterr().err.split("\n", 1)[1])
+        brace, _ = jsonio.load_brace_data(record["brace"])
+        with pytest.raises(TheoremViolation) as exc:
+            structure.verify_soluble_chief_factors(brace)
+        assert str(exc.value) == record["statement"]
+
 
 class TestCliEnvironment:
     @pytest.mark.parametrize("value", ["abc", "-5", "0", "2.5"])
-    def test_bad_bound_exit_code(self, monkeypatch, capsys, value):
+    def test_bad_bound_exit_code(self, monkeypatch, capsys, tmp_path, value):
+        # decompose on a solution never reaches a bound check; it fails at startup
+        src = write(tmp_path, "flip.json", jsonio.solution_to_json(flip_solution(4)))
         monkeypatch.setenv("BRACEFORGE_BOUND", value)
-        assert main(["enumerate", "--order", "4"]) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "not a positive integer" in err
+        for argv in (["enumerate", "--order", "4"], ["decompose", src],
+                     ["decompose", src, "--partition", "singletons"]):
+            assert main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "not a positive integer" in err
 
 
 class TestCliOracle:

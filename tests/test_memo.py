@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from braceforge import ybe
+from braceforge import braces, ybe
 from braceforge.braces import quotient, sub_brace, subbraces, trivial_brace, validate_brace
-from braceforge.catalog import cyclic
+from braceforge.catalog import cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
 from braceforge.errors import BoundExceeded, NotAnIdeal
@@ -61,13 +61,14 @@ class TestChecksOnEveryCall:
                 quotient(B, {0, 1})
 
     @pytest.mark.parametrize("fn", [subbraces, all_ideals])
-    def test_bound_checked_on_cache_hit(self, fn):
-        B = trivial_brace(cyclic(8))
+    def test_bound_checked_on_cache_hit(self, fn, monkeypatch):
+        B, fresh = trivial_brace(cyclic(8)), trivial_brace(cyclic(8))
         assert len(fn(B)) == 4
+        monkeypatch.setenv("BRACEFORGE_BOUND", "1")
         with pytest.raises(BoundExceeded):
-            fn(B, bound=1)
+            fn(B)
         with pytest.raises(BoundExceeded):
-            fn(trivial_brace(cyclic(8)), bound=1)
+            fn(fresh)
 
 
 def test_memoised_objects_match_fresh_copies(census8):
@@ -84,6 +85,24 @@ def test_memoised_objects_match_fresh_copies(census8):
             assert got.projection == want.projection
             assert got.representatives == want.representatives
             assert tables(got.brace) == tables(want.brace)
+
+
+def test_whole_brace_is_not_copied(monkeypatch):
+    # B is its own whole subbrace and its own quotient by {0}
+    B = trivial_brace(symmetric_group(3))
+    orders = []
+    original = braces.validate_brace
+
+    def counting(add_table, mul_table):
+        orders.append(len(add_table))
+        return original(add_table, mul_table)
+
+    monkeypatch.setattr(braces, "validate_brace", counting)
+    derived_series(B)
+    assert orders == [2, 3]  # S3/A3 and A3; no copies of S3 or of A3
+    assert sub_brace(B, B.carrier()).brace is B and quotient(B, {0}).brace is B
+    # neither is stored on B, where it would make B reference itself
+    assert all(getattr(v, "brace", None) is not B for v in B._cache.values())
 
 
 def test_verify_d_validates_each_brace_solution_once(monkeypatch, tmp_path):
