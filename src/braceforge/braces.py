@@ -229,6 +229,13 @@ def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
     return SubsetFlags(subbrace, left_ideal, ideal)
 
 
+def require_ideal(B: SkewBrace, *subsets: frozenset[int]) -> None:
+    """Raise NotAnIdeal naming the first of the subsets that is not an ideal of B."""
+    for S in subsets:
+        if not classify_subset(B, S).ideal:
+            raise NotAnIdeal(f"{sorted(S)} is not an ideal")
+
+
 def subbraces(B: SkewBrace) -> list[frozenset[int]]:
     """All subbraces: additive subgroups also closed under the product."""
     return [S for S in subgroups(B.add) if classify_subset(B, S).subbrace]
@@ -290,8 +297,7 @@ class Quotient:
 def quotient(B: SkewBrace, I: Iterable[int]) -> Quotient:
     """B modulo an ideal, on least-element coset representatives; memoised on B."""
     ideal = frozenset(I)
-    if not classify_subset(B, ideal).ideal:
-        raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
+    require_ideal(B, ideal)
     if len(ideal) == 1:
         # B is its own quotient by {0}; built fresh for the reason in sub_brace
         identity = tuple(B.elements())
@@ -320,8 +326,7 @@ def subbrace_product(B: SkewBrace, S: Iterable[int], I: Iterable[int]) -> frozen
     s, ideal = frozenset(S), frozenset(I)
     if not classify_subset(B, s).subbrace:
         raise NotAnIdeal(f"{sorted(s)} is not a subbrace")
-    if not classify_subset(B, ideal).ideal:
-        raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
+    require_ideal(B, ideal)
     product = frozenset(B.times(a, y) for a in s for y in ideal)
     additive = frozenset(B.plus(a, y) for a in s for y in ideal)
     if product != additive or not classify_subset(B, product).subbrace:

@@ -90,29 +90,36 @@ def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
     return entries
 
 
-def _canonical_mul_table(G: FiniteGroup, brace: SkewBrace) -> tuple[tuple[int, ...], ...]:
-    """Lexicographically least relabeling of the product table under Aut(G).
+def _is_canonical(G: FiniteGroup, brace: SkewBrace) -> bool:
+    """True when no automorphism of G relabels the product table to a smaller one.
 
     Relabeling by an additive automorphism leaves the addition table fixed, so
-    this key identifies the isomorphism class of a brace over G.
+    the relabeled product tables are those of the braces over G isomorphic to
+    this one.  Each relabeling is compared row by row, and the first smaller
+    one ends the test.
     """
-    best = brace.mul.table
+    mul = brace.mul.table
     for f in automorphism_group(G):
         finv = invert(f)
-        moved = tuple(tuple(f[brace.times(finv[a], finv[b])] for b in G.elements())
-                      for a in G.elements())
-        if moved < best:
-            best = moved
-    return best
+        for a in G.elements():
+            row = tuple(f[mul[finv[a]][finv[b]]] for b in G.elements())
+            if row != mul[a]:
+                if row < mul[a]:
+                    return False
+                break
+    return True
 
 
 def enumerate_braces(n: int, *,
                      extra_groups: list[FiniteGroup] | None = None) -> list[CensusEntry]:
     """All skew braces of order n up to isomorphism, deterministically ordered.
 
-    Every isomorphism class is represented by the lexicographically least
-    (add table, mul table) pair over its additive group; braces over distinct
-    additive groups are never isomorphic, so dedup runs per group.
+    Every relabeling of a brace by an automorphism of its additive group is
+    again a regular subgroup, so each isomorphism class over that group is
+    represented by its one member whose product table is the least of the
+    class; the census keeps exactly the raw braces that pass this test
+    (_is_canonical), ordered by product table.  Braces over distinct additive
+    groups are never isomorphic, so the test runs per group.
     """
     if extra_groups is not None:
         groups = list(enumerate(extra_groups))
@@ -123,14 +130,8 @@ def enumerate_braces(n: int, *,
     for gid, gname, G in named:
         if G.order != n:
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
-        raw = enumerate_braces_on(G)
-        by_key: dict[tuple, CensusEntry] = {}
-        for entry in raw:
-            key = _canonical_mul_table(G, entry.brace)
-            keep = by_key.get(key)
-            if keep is None or entry.brace.mul.table < keep.brace.mul.table:
-                by_key[key] = entry
-        chosen = sorted(by_key.values(), key=lambda e: e.brace.mul.table)
+        chosen = sorted((e for e in enumerate_braces_on(G) if _is_canonical(G, e.brace)),
+                        key=lambda e: e.brace.mul.table)
         for entry in chosen:
             census.append(CensusEntry(entry.brace, gid, gname,
                                       entry.mul_group_id, entry.mul_group_name,

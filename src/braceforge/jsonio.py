@@ -77,11 +77,14 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
 
 
 def _relabel(table: Sequence[Sequence[int]], perm: Perm) -> list[list[int]]:
+    """Move every entry by perm; an entry that is no label 0..n-1 (-1, true, 1.5, n)
+    stays as it is, so the validator refuses it as it would at identity 0."""
     n = len(table)
     out = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            out[perm[a]][perm[b]] = perm[table[a][b]]
+            v = table[a][b]
+            out[perm[a]][perm[b]] = perm[v] if type(v) is int and 0 <= v < n else v
     return out
 
 

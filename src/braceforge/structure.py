@@ -1,8 +1,8 @@
 """Ideal lattice, commutator ideals, solubility, chief series, Frattini theory.
 
-Series are recorded as explicit witnesses: a descending chain of carrier
-subsets plus a certificate per step, so every verdict this module emits can be
-re-checked from the witness alone.
+A series is its descending chain of carrier subsets and nothing more.  Abelian
+series are checked step by step as they are built, and ybe's series
+validation re-checks the chain alone before it builds a witness on it.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .braces import (
     fix_set,
     kernel_lambda,
     quotient,
+    require_ideal,
     socle,
     star,
     sub_brace,
@@ -55,9 +56,7 @@ def commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[
     closure) until the set stabilizes; the carrier is finite so this is a
     fixpoint computation.
     """
-    for S in (I, J):
-        if not classify_subset(B, S).ideal:
-            raise NotAnIdeal(f"{sorted(S)} is not an ideal")
+    require_ideal(B, I, J)
     gens = set()
     for i in I:
         for j in J:
@@ -87,16 +86,16 @@ def derived_ideal(B: SkewBrace) -> frozenset[int]:
 
 @dataclass(frozen=True)
 class SeriesWitness:
-    """A descending chain of carrier subsets with per-step certificates.
+    """A series as its descending chain of carrier subsets; nothing else is stored.
 
     kind "abelian": each member is an ideal of its predecessor (viewed as a
-    standalone brace) with abelian quotient.  kind "chief": each member is an
-    ideal of B and each factor is a minimal ideal of the quotient below it.
+    standalone brace) with abelian quotient, which ybe's series validation
+    re-checks step by step.  kind "chief": each member is an ideal of B and
+    each factor is a minimal ideal of the quotient below it.
     """
 
     kind: str
     chain: tuple[frozenset[int], ...]
-    certificates: tuple[dict, ...]
 
     @property
     def terminated(self) -> bool:
@@ -116,13 +115,10 @@ def abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[int]) -> 
     return None if quotient(sb.brace, local).brace.is_abelian else "has a non-abelian quotient in"
 
 
-def _abelian_step_certificate(B: SkewBrace, parent: frozenset[int],
-                              member: frozenset[int]) -> dict:
-    problem = abelian_step(B, parent, member)
+def _require_abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[int]) -> None:
+    problem = abelian_step(B, upper, lower)
     if problem:
         raise InternalInvariant(f"series member {problem} its predecessor")
-    return {"member": sorted(member), "ideal_of_predecessor": True,
-            "quotient_abelian": True, "factor_order": len(parent) // len(member)}
 
 
 @memoised
@@ -134,17 +130,16 @@ def derived_series(B: SkewBrace) -> SeriesWitness:
     soluble.
     """
     chain: list[frozenset[int]] = [B.carrier()]
-    certificates: list[dict] = []
     current = chain[0]
     while current != ZERO:
         sb = sub_brace(B, current)
         nxt = sb.to_global(derived_ideal(sb.brace))
         if nxt == current:
             break
-        certificates.append(_abelian_step_certificate(B, current, nxt))
+        _require_abelian_step(B, current, nxt)
         chain.append(nxt)
         current = nxt
-    return SeriesWitness("abelian", tuple(chain), tuple(certificates))
+    return SeriesWitness("abelian", tuple(chain))
 
 
 def is_soluble(B: SkewBrace) -> bool:
@@ -159,7 +154,7 @@ def derived_length(B: SkewBrace) -> int:
 
 
 def chief_series_as_abelian(B: SkewBrace) -> SeriesWitness:
-    """The chief series of a soluble brace re-certified as an abelian series.
+    """The chief series of a soluble brace, checked step by step as an abelian series.
 
     Chief factors of a soluble brace are abelian and every member is an ideal
     of the one above it, so the descending chief chain is the finest canonical
@@ -168,9 +163,9 @@ def chief_series_as_abelian(B: SkewBrace) -> SeriesWitness:
     if not is_soluble(B):
         raise NotSoluble(f"brace of order {B.order} is not soluble")
     chain = chief_series(B).chain
-    certificates = tuple(_abelian_step_certificate(B, chain[i], chain[i + 1])
-                         for i in range(len(chain) - 1))
-    return SeriesWitness("abelian", chain, certificates)
+    for upper, lower in zip(chain, chain[1:]):
+        _require_abelian_step(B, upper, lower)
+    return SeriesWitness("abelian", chain)
 
 
 def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
@@ -206,12 +201,7 @@ def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
 
     def ascend(acc: list[frozenset[int]]) -> Iterator[SeriesWitness]:
         if acc[-1] == carrier:
-            chain = tuple(reversed(acc))
-            certificates = tuple({"upper": sorted(chain[i]),
-                                  "lower": sorted(chain[i + 1]),
-                                  "minimal_ideal_of_quotient": True}
-                                 for i in range(len(chain) - 1))
-            yield SeriesWitness("chief", chain, certificates)
+            yield SeriesWitness("chief", tuple(reversed(acc)))
             return
         q = quotient(B, acc[-1])
         for pick in minimal_ideals(q.brace):
@@ -254,9 +244,7 @@ def annihilator_quotient_test(B: SkewBrace, I: frozenset[int],
     Inequality would contradict the commutator/annihilator correspondence and
     raises InternalInvariant.
     """
-    for S in (I, J):
-        if not classify_subset(B, S).ideal:
-            raise NotAnIdeal(f"{sorted(S)} is not an ideal")
+    require_ideal(B, I, J)
     if not J <= I:
         raise NotAnIdeal("J must be contained in I")
     q = quotient(B, J)

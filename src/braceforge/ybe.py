@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .braces import SkewBrace, classify_subset, quotient, sub_brace
+from .braces import SkewBrace, classify_subset, quotient, require_ideal, sub_brace
 from .errors import (
     BraidFailed,
     Degenerate,
@@ -68,8 +68,9 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
     full = set(range(m))
     for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
         for x, row in enumerate(tab):
-            # bool and float entries compare equal to ints, so check the type too
-            if set(row) != full or any(type(v) is not int for v in row):
+            # bool and float entries compare equal to ints, and lists cannot be
+            # hashed, so the type is checked first
+            if any(type(v) is not int for v in row) or set(row) != full:
                 raise Degenerate(which, x)
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
@@ -301,18 +302,14 @@ def _validate_abelian_series(B: SkewBrace, series: SeriesWitness) -> None:
 def multidecomposition_from_series(B: SkewBrace, series: SeriesWitness) -> MultidecompositionWitness:
     """Uniform multidecomposition of the brace solution along an abelian series.
 
-    Level k partitions the series member I_k into the multiplicative cosets of
-    I_{k+1}; the witness is fully re-verified before it is returned.
+    The embedded witness of the whole carrier under the identity map: level k
+    partitions the series member I_k into the cosets of I_{k+1}, and the
+    witness is fully re-verified before it is returned.
     """
-    _validate_abelian_series(B, series)
-    solution = solution_from_brace(B)
-    chain = series.chain
-    partitions = tuple(coset_partition(B, chain[k + 1], within=chain[k])
-                       for k in range(len(chain) - 1))
-    witness = MultidecompositionWitness(B.carrier(), chain, partitions)
-    checks = verify_multidecomposition(solution, witness)
-    if not checks["ok"] or not witness.uniform:
-        raise InternalInvariant(f"series witness failed verification: {checks}")
+    witness = embedded_multidecomposition(solution_from_brace(B), B.carrier(), B,
+                                          range(B.order), series)
+    if not witness.uniform:
+        raise InternalInvariant("series witness is not uniform")
     return witness
 
 
@@ -322,8 +319,7 @@ def ideal_coset_decomposition(B: SkewBrace, I: Iterable[int]) -> Partition:
     ideal = frozenset(I)
     if ideal == B.carrier():
         raise ValueError("the ideal must be proper")
-    if not classify_subset(B, ideal).ideal:
-        raise NotAnIdeal(f"{sorted(ideal)} is not an ideal")
+    require_ideal(B, ideal)
     if not quotient(B, ideal).brace.is_abelian:
         raise QuotientNotAbelian(f"quotient by {sorted(ideal)} is not abelian")
     partition = coset_partition(B, ideal)

@@ -3,7 +3,7 @@
 import pytest
 
 from braceforge.braces import is_isomorphic, validate_brace
-from braceforge.catalog import alternating_group, cyclic, symmetric_group
+from braceforge.catalog import alternating_group, cyclic, groups_of_order, symmetric_group
 from braceforge.construct import (
     brace_from_regular_subgroup,
     enumerate_braces,
@@ -12,7 +12,12 @@ from braceforge.construct import (
     simple_inner_regular_subgroups,
 )
 from braceforge.errors import BoundExceeded, NotRegular, NotSimple
-from braceforge.groups import RegularSubgroup, identity_perm, regular_subgroups
+from braceforge.groups import (
+    RegularSubgroup,
+    automorphism_group,
+    identity_perm,
+    regular_subgroups,
+)
 
 # class counts for n <= 6 were produced by oracle_enumerate_braces and are
 # pinned here as regression values; 7 and 8 come from the holomorph route
@@ -97,6 +102,32 @@ class TestEnumerateBraces:
         first = [(e.brace.add.table, e.brace.mul.table) for e in enumerate_braces(6)]
         second = [(e.brace.add.table, e.brace.mul.table) for e in enumerate_braces(6)]
         assert first == second
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_each_class_keeps_its_least_member(self, n):
+        # the orbit of a kept brace: its product table relabeled by every additive automorphism
+        raw_total = 0
+        for group in groups_of_order(n):
+            G = group.group
+            raw = {e.brace.mul.table for e in enumerate_braces_on(G)}
+            kept = [e.brace.mul.table for e in enumerate_braces(n) if e.add_group_id == group.id]
+            orbit_sizes, covered = 0, set()
+            for mul in kept:
+                orbit = set()
+                for f in automorphism_group(G):
+                    moved = [[0] * n for _ in range(n)]
+                    for a in G.elements():
+                        for b in G.elements():
+                            moved[f[a]][f[b]] = f[mul[a][b]]
+                    orbit.add(tuple(map(tuple, moved)))
+                assert mul == min(orbit) and orbit <= raw
+                orbit_sizes += len(orbit)
+                covered |= orbit
+            # orbit-stabiliser: the kept classes' orbits tile the raw regular subgroups
+            assert orbit_sizes == len(raw) and covered == raw
+            raw_total += len(raw)
+        if n == 8:
+            assert raw_total == 314
 
 
 class TestOracle:

@@ -15,10 +15,26 @@ from braceforge.errors import (
     GroupInvalid,
     GroupValidationError,
     InvalidDocument,
+    NotClosed,
     TheoremViolation,
 )
 from braceforge.structure import ChiefFactorReport
 from braceforge.ybe import flip_solution
+
+
+# C3 with its identity at index 1, so the loader relabels it
+C3_AT_1 = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+# (row, col, entry) that is no label 0..2; the first two alias a label under
+# Python indexing and equality (-1 -> 2, true -> 1), the last two cannot index
+NON_LABELS = pytest.mark.parametrize("row, col, entry", [
+    (0, 0, -1), (0, 2, True), (0, 0, 2.0), (0, 0, 3)],
+    ids=["negative", "bool", "float", "out-of-range"])
+
+
+def with_entry(table, row, col, entry):
+    out = [list(r) for r in table]
+    out[row][col] = entry
+    return out
 
 
 def write(tmp_path, name, obj):
@@ -45,6 +61,11 @@ class TestGroupFiles:
         with pytest.raises(GroupValidationError):
             jsonio.load_group_data({"order": 2, "table": [[0, 1], [1, 1]]})
 
+    @NON_LABELS
+    def test_non_label_refused_after_relabeling(self, row, col, entry):
+        with pytest.raises(NotClosed):
+            jsonio.load_group_data({"table": with_entry(C3_AT_1, row, col, entry)})
+
 
 class TestBraceFiles:
     def test_roundtrip(self, tmp_path):
@@ -66,6 +87,15 @@ class TestBraceFiles:
         table = [[0, True], [True, 0]]
         with pytest.raises(GroupInvalid):
             jsonio.load_brace_data({"add": table, "mul": [[0, 1], [1, 0]]})
+
+    @NON_LABELS
+    @pytest.mark.parametrize("which", ["add", "mul"])
+    def test_non_label_refused_after_relabeling(self, which, row, col, entry):
+        data = {"add": C3_AT_1, "mul": C3_AT_1}
+        data[which] = with_entry(C3_AT_1, row, col, entry)
+        with pytest.raises(GroupInvalid) as exc:
+            jsonio.load_brace_data(data)
+        assert exc.value.which == which and isinstance(exc.value.cause, NotClosed)
 
     @pytest.mark.parametrize("add, mul", [
         (5, 5),
@@ -286,6 +316,30 @@ class TestCliTheoremViolation:
         record = json.loads(rest)
         assert record == {"statement": "chief factor is not elementary abelian",
                           "counterexample": expected}
+
+    def violation_record(self, capsys, argv):
+        assert main(argv) == 5
+        first, rest = capsys.readouterr().err.split("\n", 1)
+        assert first.startswith("THEOREM VIOLATION")
+        return json.loads(rest)
+
+    def test_scope_a_record(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_prime_power", lambda n: None)  # no order is prime
+        record = self.violation_record(capsys, ["verify", "A", "--max-order", "4"])
+        assert record == {"statement": "braces without proper subbraces have orders "
+                                       "[2, 3], expected []",
+                          "counterexample": [[2, 3], []]}
+
+    @pytest.mark.parametrize("pick, statement", [
+        (lambda subs: subs[:1], "expected 2 regular subgroups, found 1"),
+        (lambda subs: subs[:1] * 2, "regular subgroups differ from the expected pair"),
+    ], ids=["count", "pair"])
+    def test_lemma_gintg_record(self, monkeypatch, capsys, pick, statement):
+        found = pick(cli.simple_inner_regular_subgroups(alternating_5()))
+        monkeypatch.setattr(cli, "simple_inner_regular_subgroups", lambda G: found)
+        record = self.violation_record(capsys, ["verify", "lemma-GIntG"])
+        assert record == {"statement": statement,
+                          "counterexample": [list(s.assignment) for s in found]}
 
     def test_record_can_be_rerun(self, monkeypatch, capsys):
         monkeypatch.setattr(structure, "_prime_power", lambda n: None)

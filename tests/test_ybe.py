@@ -44,7 +44,7 @@ A3 = frozenset({0, 3, 4})
 def z4_two_step_series():
     B = trivial_brace(cyclic(4))
     chain = (frozenset(range(4)), frozenset({0, 2}), ZERO)
-    return B, SeriesWitness("abelian", chain, ({}, {}))
+    return B, SeriesWitness("abelian", chain)
 
 
 class TestValidateSolution:
@@ -155,14 +155,14 @@ class TestMultidecomposition:
 
     def test_series_validation(self):
         B = trivial_brace(cyclic(4))
-        bad_kind = SeriesWitness("chief", (B.carrier(), ZERO), ({},))
+        bad_kind = SeriesWitness("chief", (B.carrier(), ZERO))
         with pytest.raises(SeriesInvalid):
             multidecomposition_from_series(B, bad_kind)
-        not_terminated = SeriesWitness("abelian", (B.carrier(),), ())
+        not_terminated = SeriesWitness("abelian", (B.carrier(),))
         with pytest.raises(SeriesInvalid):
             multidecomposition_from_series(B, not_terminated)
         not_ideal = SeriesWitness(
-            "abelian", (B.carrier(), frozenset({0, 1}), ZERO), ({}, {}))
+            "abelian", (B.carrier(), frozenset({0, 1}), ZERO))
         with pytest.raises(SeriesInvalid):
             multidecomposition_from_series(B, not_ideal)
 
