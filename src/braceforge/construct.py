@@ -3,7 +3,8 @@
 A brace on an additive group G is the same thing as a regular subgroup of
 Hol(G): the subgroup {(b, lambda_b)} recovers the brace via bc = b + phi_b(c).
 The census enumerates every regular subgroup for every additive group of the
-given order and deduplicates up to brace isomorphism.  An independent oracle
+given order and keeps one per orbit of the additive automorphism group, which
+is one per brace isomorphism class.  An independent oracle
 re-derives the small censuses by scanning all maps from G into Aut(G).
 """
 
@@ -28,8 +29,8 @@ from .groups import (
     automorphism_group,
     check_bound,
     group_isomorphism,
-    invert,
     is_automorphism,
+    pair_pool,
     regular_subgroups,
 )
 
@@ -77,49 +78,85 @@ def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:
     return None, None
 
 
+def _census_entry(G: FiniteGroup, H: RegularSubgroup, add_id: int | None,
+                  add_name: str | None) -> CensusEntry:
+    brace = brace_from_regular_subgroup(G, H)
+    if brace.lam != tuple(H.perm(g) for g in G.elements()):
+        raise InternalInvariant("lambda maps differ from the defining subgroup")
+    mul_id, mul_name = _identify_group(brace.mul)
+    return CensusEntry(brace, add_id, add_name, mul_id, mul_name, H)
+
+
 def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
-    """One entry per regular subgroup of Hol(G), canonically ordered."""
-    entries = []
+    """One fully validated entry per regular subgroup of Hol(G), canonically ordered."""
     add_id, add_name = _identify_group(G)
-    for H in regular_subgroups(G, "holomorph"):
-        brace = brace_from_regular_subgroup(G, H)
-        if brace.lam != tuple(H.perm(g) for g in G.elements()):
-            raise InternalInvariant("lambda maps differ from the defining subgroup")
-        mul_id, mul_name = _identify_group(brace.mul)
-        entries.append(CensusEntry(brace, add_id, add_name, mul_id, mul_name, H))
-    return entries
+    return [_census_entry(G, H, add_id, add_name) for H in regular_subgroups(G, "holomorph")]
 
 
-def _is_canonical(G: FiniteGroup, brace: SkewBrace) -> bool:
-    """True when no automorphism of G relabels the product table to a smaller one.
+def _orbit_representatives(G: FiniteGroup,
+                            raw: list[RegularSubgroup]) -> list[RegularSubgroup]:
+    """One member of each Aut(G)-orbit of the raw regular subgroups over G.
 
-    Relabeling by an additive automorphism leaves the addition table fixed, so
-    the relabeled product tables are those of the braces over G isomorphic to
-    this one.  Each relabeling is compared row by row, and the first smaller
-    one ends the test.
+    alpha in Aut(G) acts by alpha.(g, phi_g) = (alpha(g), alpha phi_g alpha^-1),
+    which relabels the brace by the additive automorphism alpha; so the orbits
+    are the isomorphism classes of braces over G.  The raw subgroups are walked
+    in sorted order, and at the first one not yet seen its whole orbit is
+    marked seen and the member with the least product table is kept.
+    Returned in the order of their product tables.
+
+    Three invariants are checked, each raising InternalInvariant: every orbit
+    image is a raw subgroup, |orbit| * |stabiliser| = |Aut(G)| for each class,
+    and the orbit sizes sum to the raw count.
     """
-    mul = brace.mul.table
-    for f in automorphism_group(G):
-        finv = invert(f)
-        for a in G.elements():
-            row = tuple(f[mul[finv[a]][finv[b]]] for b in G.elements())
-            if row != mul[a]:
-                if row < mul[a]:
-                    return False
-                break
-    return True
+    pool = pair_pool(G, "holomorph")
+    perms, comp, inv = pool.perms, pool.comp, pool.inv
+    by_assignment = {H.assignment: H for H in raw}
+    seen: set[tuple[int, ...]] = set()
+    kept = []
+    covered = 0
+    for H in raw:
+        a = H.assignment
+        if a in seen:
+            continue
+        orbit = set()
+        stabiliser = 0
+        for i, alpha in enumerate(perms):
+            ci, j = comp[i], inv[i]
+            image = [0] * G.order
+            for g in G.elements():
+                image[alpha[g]] = comp[ci[a[g]]][j]
+            moved = tuple(image)
+            if moved not in by_assignment:
+                raise InternalInvariant("an automorphism moves a regular subgroup "
+                                        "outside the raw regular subgroups")
+            orbit.add(moved)
+            stabiliser += moved == a
+        if len(orbit) * stabiliser != len(perms):
+            raise InternalInvariant(f"orbit {len(orbit)} times stabiliser {stabiliser} "
+                                    f"is not |Aut| = {len(perms)}")
+        seen |= orbit
+        covered += len(orbit)
+        kept.append(min((by_assignment[m] for m in orbit),
+                        key=RegularSubgroup.multiplication_table))
+    if covered != len(raw):
+        raise InternalInvariant(f"orbit sizes sum to {covered}, not to the "
+                                f"{len(raw)} raw regular subgroups")
+    return sorted(kept, key=RegularSubgroup.multiplication_table)
 
 
 def enumerate_braces(n: int, *,
                      extra_groups: list[FiniteGroup] | None = None) -> list[CensusEntry]:
     """All skew braces of order n up to isomorphism, deterministically ordered.
 
-    Every relabeling of a brace by an automorphism of its additive group is
-    again a regular subgroup, so each isomorphism class over that group is
-    represented by its one member whose product table is the least of the
-    class; the census keeps exactly the raw braces that pass this test
-    (_is_canonical), ordered by product table.  Braces over distinct additive
-    groups are never isomorphic, so the test runs per group.
+    Braces over distinct additive groups are never isomorphic, and two braces
+    over G are isomorphic exactly when an automorphism of G relabels one into
+    the other: the classes are the Aut(G)-orbits of the regular subgroups of
+    Hol(G).  _orbit_representatives keeps the member of each orbit with the
+    least product table; only these representatives are built, validated and
+    identified, in product-table order.  Every other member is a relabelling
+    of a validated brace by an additive automorphism, proven so by the orbit
+    walk's invariants; enumerate_braces_on still builds and validates every
+    raw subgroup, and the tests compare the two.
     """
     if extra_groups is not None:
         groups = list(enumerate(extra_groups))
@@ -130,12 +167,8 @@ def enumerate_braces(n: int, *,
     for gid, gname, G in named:
         if G.order != n:
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
-        chosen = sorted((e for e in enumerate_braces_on(G) if _is_canonical(G, e.brace)),
-                        key=lambda e: e.brace.mul.table)
-        for entry in chosen:
-            census.append(CensusEntry(entry.brace, gid, gname,
-                                      entry.mul_group_id, entry.mul_group_name,
-                                      entry.provenance))
+        for H in _orbit_representatives(G, regular_subgroups(G, "holomorph")):
+            census.append(_census_entry(G, H, gid, gname))
     return census
 
 

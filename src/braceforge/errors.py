@@ -64,7 +64,8 @@ class InvalidBound(BraceforgeError):
 
 
 class InvalidDocument(BraceforgeError):
-    """An input file does not hold a JSON object, or its tables are not square lists of lists."""
+    """An input file does not hold a JSON object, its tables are not square lists of
+    lists, or its declared order or size is not the int table size."""
 
 
 class OutputError(BraceforgeError):

@@ -383,15 +383,28 @@ class PermTable:
         return len(self.perms)
 
 
-def _pair_pool(G: FiniteGroup, ambient: str) -> PermTable:
+def _ambient_perms(G: FiniteGroup, ambient: str) -> list[Perm]:
     if ambient == "holomorph":
-        pool = PermTable(automorphism_group(G))
-    elif ambient == "inner":
-        pool = PermTable(inner_automorphisms(G))
-    else:
-        raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'inner'")
-    check_bound("ambient sub-holomorph order", G.order * len(pool), holomorph_bound())
-    return pool
+        return automorphism_group(G)
+    if ambient == "inner":
+        return inner_automorphisms(G)
+    raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'inner'")
+
+
+def pair_pool(G: FiniteGroup, ambient: str) -> PermTable:
+    """The automorphism component of the ambient sub-holomorph, built once per G.
+
+    The bound is checked on G.order * |perms| before the k x k composition
+    table is built or looked up, so an oversized ambient fails at once.
+    """
+    perms = _ambient_perms(G, ambient)
+    check_bound("ambient sub-holomorph order", G.order * len(perms), holomorph_bound())
+    return _perm_table(G, ambient)
+
+
+@memoised
+def _perm_table(G: FiniteGroup, ambient: str) -> PermTable:
+    return PermTable(_ambient_perms(G, ambient))
 
 
 def holomorph(G: FiniteGroup) -> FiniteGroup:
@@ -400,7 +413,7 @@ def holomorph(G: FiniteGroup) -> FiniteGroup:
     Pairs (g, phi) are indexed as g*|Aut| + i with (0, id) at index 0 and the
     product (g, phi)(h, psi) = (g phi(h), phi psi).
     """
-    pool = _pair_pool(G, "holomorph")
+    pool = pair_pool(G, "holomorph")
     k = len(pool)
     n = G.order
     table = []
@@ -442,8 +455,7 @@ class RegularSubgroup:
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
         """Product law on first coordinates: g * h = g . phi_g(h) in G."""
         G = self.group
-        return tuple(tuple(G.table[g][self.perm(g)[h]] for h in G.elements())
-                     for g in G.elements())
+        return tuple(tuple(map(G.table[g].__getitem__, self.perm(g))) for g in G.elements())
 
 
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
@@ -454,7 +466,7 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
     through the generated closure.  Partial closures must stay injective on
     first coordinates and have size dividing |G|.
     """
-    pool = _pair_pool(G, ambient)
+    pool = pair_pool(G, ambient)
     n = G.order
     comp = pool.comp
     perms = pool.perms

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .braces import SkewBrace, validate_brace
 from .construct import CensusEntry
-from .errors import GroupValidationError, InvalidDocument, NoIdentityAtZero, OutputError
+from .errors import InvalidDocument, NoIdentityAtZero, OutputError
 from .groups import FiniteGroup, Perm, validate_group
 from .ybe import Solution, validate_solution
 
@@ -68,6 +68,12 @@ def _square_tables(data: dict, *keys: str) -> list:
     return tables
 
 
+def _check_declared(data: dict, key: str, n: int) -> None:
+    """Refuse a declared data[key] that is not an int equal to the table size n."""
+    if key in data and (type(data[key]) is not int or data[key] != n):
+        raise InvalidDocument(f"declared {key} {json.dumps(data[key])} is not the table size {n}")
+
+
 def _find_identity(table: Sequence[Sequence[int]]) -> int:
     n = len(table)
     for e in range(n):
@@ -100,8 +106,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 
 def load_group_data(data: dict) -> tuple[FiniteGroup, LoadReport]:
     table, = _square_tables(data, "table")
-    if len(table) != data.get("order", len(table)):
-        raise GroupValidationError("declared order does not match the table")
+    _check_declared(data, "order", len(table))
     e = _find_identity(table)
     relabeling = None
     if e != 0:
@@ -122,8 +127,7 @@ def brace_to_json(B: SkewBrace) -> dict:
 
 def load_brace_data(data: dict) -> tuple[SkewBrace, LoadReport]:
     add, mul = _square_tables(data, "add", "mul")
-    if len(add) != data.get("order", len(add)):
-        raise GroupValidationError("declared order does not match the tables")
+    _check_declared(data, "order", len(add))
     e = _find_identity(add)
     relabeling = None
     if e != 0:
@@ -142,7 +146,9 @@ def solution_to_json(S: Solution) -> dict:
 
 
 def load_solution_data(data: dict) -> Solution:
-    return validate_solution(*_square_tables(data, "lambda", "rho"))
+    lam, rho = _square_tables(data, "lambda", "rho")
+    _check_declared(data, "size", len(lam))
+    return validate_solution(lam, rho)
 
 
 def load_solution(path: str | Path) -> Solution:

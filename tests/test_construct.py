@@ -2,16 +2,18 @@
 
 import pytest
 
+from braceforge import construct, groups
 from braceforge.braces import is_isomorphic, validate_brace
 from braceforge.catalog import alternating_group, cyclic, groups_of_order, symmetric_group
 from braceforge.construct import (
+    CensusEntry,
     brace_from_regular_subgroup,
     enumerate_braces,
     enumerate_braces_on,
     oracle_enumerate_braces,
     simple_inner_regular_subgroups,
 )
-from braceforge.errors import BoundExceeded, NotRegular, NotSimple
+from braceforge.errors import BoundExceeded, InternalInvariant, NotRegular, NotSimple
 from braceforge.groups import (
     RegularSubgroup,
     automorphism_group,
@@ -128,6 +130,63 @@ class TestEnumerateBraces:
             raw_total += len(raw)
         if n == 8:
             assert raw_total == 314
+
+
+def least_member_filter(G, entries: list[CensusEntry]) -> list[CensusEntry]:
+    """Reference for the orbit walk: the raw entries whose product table no
+    automorphism of G relabels to a smaller one, in product-table order."""
+    n = G.order
+    kept = []
+    for e in entries:
+        mul = e.brace.mul.table
+        least = True
+        for f in automorphism_group(G):
+            moved = [[0] * n for _ in range(n)]
+            for a in G.elements():
+                for b in G.elements():
+                    moved[f[a]][f[b]] = f[mul[a][b]]
+            if tuple(map(tuple, moved)) < mul:
+                least = False
+                break
+        if least:
+            kept.append(e)
+    return sorted(kept, key=lambda e: e.brace.mul.table)
+
+
+def fields(entries: list[CensusEntry]) -> list[tuple]:
+    return [(e.brace.add.table, e.brace.mul.table, e.add_group_id, e.add_group_name,
+             e.mul_group_id, e.mul_group_name, e.provenance.assignment) for e in entries]
+
+
+class TestOrbitCensus:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_matches_per_raw_validation(self, n):
+        # every raw subgroup built and validated, then filtered, gives the census field by field
+        reference = [e for group in groups_of_order(n)
+                     for e in least_member_filter(group.group, enumerate_braces_on(group.group))]
+        assert fields(enumerate_braces(n)) == fields(reference)
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_missing_raw_subgroup_raises(self, monkeypatch, n):
+        # drop each group's last raw subgroup: another member of its orbit maps onto it.
+        # (A class that is one subgroup alone, like C4's last, leaves no trace when dropped.)
+        monkeypatch.setattr(construct, "regular_subgroups",
+                            lambda G, ambient: regular_subgroups(G, ambient)[:-1])
+        with pytest.raises(InternalInvariant):
+            enumerate_braces(n)
+
+    def test_automorphism_table_built_once_per_group(self, monkeypatch):
+        built = []
+
+        class CountingPermTable(groups.PermTable):
+            def __init__(self, perms):
+                built.append(len(perms))
+                super().__init__(perms)
+
+        monkeypatch.setattr(groups, "PermTable", CountingPermTable)
+        G = symmetric_group(3)  # a fresh object, so nothing is memoised on it yet
+        assert len(enumerate_braces(6, extra_groups=[G])) == 4
+        assert built == [6]
 
 
 class TestOracle:

@@ -294,6 +294,21 @@ class TestRegularSubgroups:
         with pytest.raises(BoundExceeded):
             regular_subgroups(klein_four())
 
+    @pytest.mark.parametrize("search", [regular_subgroups, holomorph])
+    def test_bound_checked_before_the_table_is_built(self, monkeypatch, search):
+        # the k x k composition table of Aut(C2^4) alone would hold 20160^2 entries
+        built = []
+
+        def no_table(perms):
+            built.append(len(perms))
+            raise AssertionError("PermTable built before the bound check")
+
+        monkeypatch.setattr(groups, "PermTable", no_table)
+        monkeypatch.setattr(groups, "DEFAULT_HOLOMORPH_BOUND", 10)
+        with pytest.raises(BoundExceeded):
+            search(klein_four())
+        assert built == []
+
 
 class TestIsomorphism:
     def test_same_group(self):

@@ -61,6 +61,11 @@ class TestGroupFiles:
         with pytest.raises(GroupValidationError):
             jsonio.load_group_data({"order": 2, "table": [[0, 1], [1, 1]]})
 
+    @pytest.mark.parametrize("order", [2.0, True, 3, "2"])
+    def test_declared_order_must_be_the_int_size(self, order):
+        with pytest.raises(InvalidDocument):
+            jsonio.load_group_data({"order": order, "table": [[0, 1], [1, 0]]})
+
     @NON_LABELS
     def test_non_label_refused_after_relabeling(self, row, col, entry):
         with pytest.raises(NotClosed):
@@ -164,10 +169,17 @@ class TestCliEnumerate:
             assert set(record) >= {"order", "add", "mul", "provenance"}
 
 
+Z2 = [[0, 1], [1, 0]]
+FLIP2 = jsonio.solution_to_json(flip_solution(2))
 MALFORMED = [
     ("analyze", {"add": 5, "mul": 5}),
     ("analyze", {"add": [1, 2], "mul": [1, 2]}),
     ("decompose", {"lambda": 5, "rho": 5}),
+    # a declared order or size must be the int table size; 2.0 and true compare equal to it
+    ("analyze", {"order": 2.0, "add": Z2, "mul": Z2}),
+    ("analyze", {"order": True, "add": [[0]], "mul": [[0]]}),
+    ("decompose", {**FLIP2, "size": 3}),
+    ("decompose", {**FLIP2, "size": "2"}),
 ]
 
 
