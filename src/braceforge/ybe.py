@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .braces import SkewBrace, classify_subset, quotient, require_ideal, sub_brace
+from .braces import SkewBrace, quotient, require_ideal, sub_brace
 from .errors import (
     BraidFailed,
     Degenerate,
     EmbeddingIncompatible,
     HypothesisFailed,
     InternalInvariant,
-    NotAnIdeal,
     QuotientNotAbelian,
     SeriesInvalid,
 )
@@ -172,13 +171,45 @@ def is_partition_decomposable(solution: Solution, partition: Partition) -> tuple
 
 
 def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
-    """All non-empty subsets X with r(X x X) inside X x X."""
+    """All non-empty subsets X with r(X x X) inside X x X, sorted by subset_key.
+
+    Depth-first search over subsets grown in increasing point order, on bit
+    masks.  both[x][y] holds the four points r(x, y) and r(y, x) force, and
+    `reach` is the union of both[x][y] over the pairs of the current X.
+    Invariant: every point of `reach` at most the last point added lies in
+    X.  Later steps add only larger points, so a branch that breaks it can
+    never become closed and is cut (NextClosure's canonicity test); X is
+    emitted when all of `reach` lies in X.  Every prefix of a closed set keeps
+    the invariant, so no closed set is lost, and the cost scales with the
+    number of subsets that keep it, not with 2^size.
+    """
+    n = solution.size
+    lam, rho = solution.lambda_tab, solution.rho_tab
+    both = [[1 << lam[x][y] | 1 << rho[y][x] | 1 << lam[y][x] | 1 << rho[x][y]
+             for y in range(n)] for x in range(n)]
     out = []
-    for bits in range(1, 1 << solution.size):
-        X = frozenset(i for i in range(solution.size) if bits >> i & 1)
-        if all(solution.lambda_tab[x][y] in X and solution.rho_tab[y][x] in X
-               for x in X for y in X):
-            out.append(X)
+    # (X, reach, last point added, members of X in order); a recursive closure
+    # would be a function-cell reference cycle that keeps `out` alive until a
+    # full collection
+    stack = [(0, 0, -1, ())]
+    while stack:
+        X, reach, last, members = stack.pop()
+        missing = reach & ~X
+        # a child past the least missing point would skip it for good
+        stop = (missing & -missing).bit_length() if missing else n
+        for i in range(last + 1, stop):
+            row = both[i]
+            grown = reach | row[i]
+            for y in members:
+                grown |= row[y]
+            Xi = X | 1 << i
+            missing = grown & ~Xi
+            if missing & ((1 << (i + 1)) - 1):
+                continue
+            path = members + (i,)
+            if not missing:
+                out.append(frozenset(path))
+            stack.append((Xi, grown, i, path))
     return sorted(out, key=subset_key)
 
 
@@ -213,13 +244,15 @@ def coset_partition(B: SkewBrace, I: Iterable[int], within: Iterable[int] | None
     """Left multiplicative cosets of the ideal I inside the subbrace `within`.
 
     For an ideal these agree with the additive cosets; the equality is
-    asserted rather than assumed.  Uniform by Lagrange.
+    asserted rather than assumed.  Uniform by Lagrange.  A non-ideal raises
+    NotAnIdeal, whose message names I by its labels inside the subbrace
+    `within` (the positions of its elements in sorted order), not by the
+    labels of B.
     """
     scope = frozenset(within) if within is not None else B.carrier()
     ideal = frozenset(I)
     sb = sub_brace(B, scope)
-    if not classify_subset(sb.brace, sb.to_local(ideal)).ideal:
-        raise NotAnIdeal(f"{sorted(ideal)} is not an ideal of the given subbrace")
+    require_ideal(sb.brace, sb.to_local(ideal))
     blocks = {}
     for b in scope:
         left = frozenset(B.times(b, i) for i in ideal)

@@ -10,6 +10,7 @@ from braceforge import cli, jsonio, structure
 from braceforge.braces import is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
+from braceforge.construct import enumerate_braces
 from braceforge.errors import (
     Degenerate,
     GroupInvalid,
@@ -18,7 +19,7 @@ from braceforge.errors import (
     NotClosed,
     TheoremViolation,
 )
-from braceforge.structure import ChiefFactorReport
+from braceforge.structure import ChiefFactorReport, is_soluble
 from braceforge.ybe import flip_solution
 
 
@@ -307,6 +308,32 @@ class TestCliVerify:
         captured = capsys.readouterr()
         assert "--max-order must be at least 1" in captured.err
         assert "pass" not in captured.out and not out.exists()
+
+
+class TestNonSolubleControl:
+    """The census's two non-soluble braces keep the soluble hypothesis visible."""
+
+    @staticmethod
+    def non_soluble():
+        return [e for e in enumerate_braces(12) if not is_soluble(e.brace)]
+
+    def test_census_has_two_of_order_twelve(self):
+        assert [(e.add_group_name, e.mul_group_name) for e in self.non_soluble()] \
+            == [("A4", "Dic3"), ("A4", "Dic3")]
+
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_decompose_exit_code(self, index, tmp_path):
+        brace = self.non_soluble()[index].brace
+        src = write(tmp_path, "b.json", jsonio.brace_to_json(brace))
+        assert main(["decompose", src]) == 6
+
+    @pytest.mark.parametrize("scope", ["B", "C", "D"])
+    def test_sweep_counts_them_as_not_soluble(self, scope, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", scope, "--max-order", "12", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["checked"], report["soluble"]) == (111, 109)
+        assert len(report["braces"]) == 109
 
 
 class TestCliTheoremViolation:

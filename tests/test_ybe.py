@@ -2,17 +2,19 @@
 
 import pytest
 
-from braceforge.braces import quotient, trivial_brace
-from braceforge.catalog import alternating_5, cyclic, symmetric_group
+from braceforge.braces import quotient, sub_brace, trivial_brace
+from braceforge.catalog import alternating_5, cyclic, direct_product_group, symmetric_group
 from braceforge.construct import enumerate_braces
 from braceforge.errors import (
     BraidFailed,
     Degenerate,
     EmbeddingIncompatible,
     HypothesisFailed,
+    NotAnIdeal,
     QuotientNotAbelian,
     SeriesInvalid,
 )
+from braceforge.groups import subgroups, subset_key
 from braceforge.structure import (
     ZERO,
     SeriesWitness,
@@ -39,6 +41,17 @@ from braceforge.ybe import (
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
+
+
+def r_closed_scan(solution):
+    """Reference for r_closed_subsets: test every non-empty subset."""
+    out = []
+    for bits in range(1, 1 << solution.size):
+        X = frozenset(i for i in range(solution.size) if bits >> i & 1)
+        if all(solution.lambda_tab[x][y] in X and solution.rho_tab[y][x] in X
+               for x in X for y in X):
+            out.append(X)
+    return sorted(out, key=subset_key)
 
 
 def z4_two_step_series():
@@ -131,6 +144,21 @@ class TestCosetPartition:
     def test_z4_two_blocks(self):
         p = coset_partition(trivial_brace(cyclic(4)), frozenset({0, 2}))
         assert p.blocks == (frozenset({0, 2}), frozenset({1, 3})) and p.uniform
+
+    def test_non_ideal_raises(self):
+        # an order-2 subgroup of an S3 inside the trivial brace on S3 x C2 is
+        # normal neither in that S3 nor in the whole group
+        B = trivial_brace(direct_product_group(S3, cyclic(2)))
+        within = next(S for S in subgroups(B.add) if len(S) == 6
+                      and any(B.plus(a, b) != B.plus(b, a) for a in S for b in S))
+        I = frozenset({0, next(a for a in sorted(within) if B.add.element_order(a) == 2)})
+        with pytest.raises(NotAnIdeal):
+            coset_partition(B, I)
+        with pytest.raises(NotAnIdeal) as info:
+            coset_partition(B, I, within=within)
+        # the message names I by its labels inside the subbrace
+        local = sub_brace(B, within).to_local(I)
+        assert str(info.value) == f"{sorted(local)} is not an ideal"
 
 
 class TestMultidecomposition:
@@ -241,6 +269,27 @@ class TestEmbedded:
         s = solution_from_brace(B)
         w = embedded_multidecomposition(s, {0}, B, [0], derived_series(B))
         assert w.chain == (ZERO,) and w.partitions == ()
+
+
+class TestRClosedSubsets:
+    """The pruned search returns exactly the list of the 2^n scan, order included."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_scan_on_census(self, n):
+        # every census brace of order n, soluble or not
+        for entry in enumerate_braces(n):
+            s = solution_from_brace(entry.brace)
+            assert r_closed_subsets(s) == r_closed_scan(s)
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_scan_on_flip(self, m):
+        got = r_closed_subsets(flip_solution(m))
+        assert got == r_closed_scan(flip_solution(m))
+        assert len(got) == (1 << m) - 1
+
+    def test_matches_scan_on_conjugation(self):
+        s = solution_from_brace(trivial_brace(S3))
+        assert r_closed_subsets(s) == r_closed_scan(s)
 
 
 class TestExhaustiveCrossChecks:
