@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import jsonio
 from .braces import SkewBrace, is_isomorphic, quotient
@@ -194,24 +194,25 @@ def _verify_A(max_order: int) -> dict:
                          "trivial braces of prime order"}
 
 
-def _verify_B(max_order: int, exhaustive: bool) -> dict:
+def _soluble_sweep(max_order: int, check: Callable[[SkewBrace], dict]) -> dict:
+    """Run check on every soluble census brace of order at most max_order."""
     entries = _census_range(max_order)
     soluble = [e.brace for e in entries if is_soluble(e.brace)]
+    details = [check(b) for b in soluble]
+    return {"checked": len(entries), "soluble": len(soluble), "braces": details}
 
+
+def _verify_B(max_order: int, exhaustive: bool) -> dict:
     def check(b: SkewBrace) -> dict:
         rep = verify_soluble_chief_factors(b, exhaustive=exhaustive)
         return {"order": b.order,
                 "factors": [r.to_json() for r in rep.factor_reports],
                 "maximal_subbrace_indices": [i for _, i in rep.maximal_subbrace_indices]}
 
-    details = [check(b) for b in soluble]
-    return {"checked": len(entries), "soluble": len(soluble), "braces": details}
+    return _soluble_sweep(max_order, check)
 
 
 def _verify_C(max_order: int) -> dict:
-    entries = _census_range(max_order)
-    soluble = [e.brace for e in entries if is_soluble(e.brace)]
-
     def check(b: SkewBrace) -> dict:
         witness = multidecomposition_from_series(b, derived_series(b))
         corollary = 0
@@ -224,14 +225,10 @@ def _verify_C(max_order: int) -> dict:
         return {"order": b.order, "levels": len(witness.partitions),
                 "uniform": witness.uniform, "coset_decompositions": corollary}
 
-    details = [check(b) for b in soluble]
-    return {"checked": len(entries), "soluble": len(soluble), "braces": details}
+    return _soluble_sweep(max_order, check)
 
 
 def _verify_D(max_order: int) -> dict:
-    entries = _census_range(max_order)
-    soluble = [e.brace for e in entries if is_soluble(e.brace)]
-
     def check(b: SkewBrace) -> dict:
         series = derived_series(b)
         solution = solution_from_brace(b)
@@ -245,8 +242,7 @@ def _verify_D(max_order: int) -> dict:
             witnesses += 1
         return {"order": b.order, "subsets": witnesses}
 
-    details = [check(b) for b in soluble]
-    return {"checked": len(entries), "soluble": len(soluble), "braces": details}
+    return _soluble_sweep(max_order, check)
 
 
 def _verify_lemma_gintg() -> dict:

@@ -29,7 +29,6 @@ from .groups import (
     automorphism_group,
     check_bound,
     group_isomorphism,
-    is_automorphism,
     pair_pool,
     regular_subgroups,
 )
@@ -59,14 +58,16 @@ def brace_from_regular_subgroup(G: FiniteGroup, H: RegularSubgroup) -> SkewBrace
         raise NotRegular("subgroup does not live over the given group")
     if len(H.assignment) != G.order:
         raise NotRegular("assignment does not cover the carrier")
+    # phi_g need only permute G: the brace law makes lambda_g = phi_g additive
+    carrier = set(G.elements())
     for g in G.elements():
-        if not is_automorphism(G, H.perm(g)):
-            raise NotRegular(f"phi_{g} is not an automorphism")
+        if len(H.perm(g)) != G.order or set(H.perm(g)) != carrier:
+            raise NotRegular(f"phi_{g} is not a permutation of the carrier")
     mul = H.multiplication_table()
     try:
         return validate_brace(G.table, mul)
-    except GroupInvalid as exc:
-        raise NotRegular(f"pair map is not closed: {exc}") from exc
+    except (GroupInvalid, BraceAxiomFailed) as exc:
+        raise NotRegular(f"pair map is not a regular subgroup: {exc}") from exc
 
 
 def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:

@@ -449,9 +449,6 @@ class RegularSubgroup:
     def perm(self, g: int) -> Perm:
         return self.pool[self.assignment[g]]
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(g, self.assignment[g]) for g in self.group.elements()]
-
     def multiplication_table(self) -> tuple[tuple[int, ...], ...]:
         """Product law on first coordinates: g * h = g . phi_g(h) in G."""
         G = self.group

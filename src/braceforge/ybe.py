@@ -318,7 +318,9 @@ def verify_multidecomposition(solution: Solution,
     return checks
 
 
-def _validate_abelian_series(B: SkewBrace, series: SeriesWitness) -> None:
+@memoised
+def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[Partition, ...]:
+    """The checked abelian series as its steps: member i cut into cosets of member i + 1."""
     if series.kind != "abelian":
         raise SeriesInvalid(f"expected an abelian series, got {series.kind!r}")
     chain = series.chain
@@ -330,6 +332,8 @@ def _validate_abelian_series(B: SkewBrace, series: SeriesWitness) -> None:
         problem = abelian_step(B, chain[i], chain[i + 1])
         if problem:
             raise SeriesInvalid(f"member {i + 1} {problem} member {i}")
+    return tuple(coset_partition(B, chain[i + 1], within=chain[i])
+                 for i in range(len(chain) - 1))
 
 
 def multidecomposition_from_series(B: SkewBrace, series: SeriesWitness) -> MultidecompositionWitness:
@@ -352,7 +356,6 @@ def ideal_coset_decomposition(B: SkewBrace, I: Iterable[int]) -> Partition:
     ideal = frozenset(I)
     if ideal == B.carrier():
         raise ValueError("the ideal must be proper")
-    require_ideal(B, ideal)
     if not quotient(B, ideal).brace.is_abelian:
         raise QuotientNotAbelian(f"quotient by {sorted(ideal)} is not abelian")
     partition = coset_partition(B, ideal)
@@ -374,7 +377,8 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
     on images, and X must meet the last non-zero series member.  Levels follow
     the series through the embedding: X_j collects the points landing in I_j,
     partitioned by coset intersections with empty blocks dropped.  The result
-    need not be uniform.
+    need not be uniform.  The series is checked and cut into cosets once per
+    (B, series); each X pulls them back and re-verifies its own witness.
     """
     points = frozenset(X)
     if not points or not points <= solution.ground():
@@ -393,9 +397,9 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
             if brace_solution.r(emap[x], emap[y]) != (emap[u], emap[v]):
                 raise EmbeddingIncompatible(
                     "solution and brace solution disagree on images", (x, y))
-    _validate_abelian_series(B, series)
+    steps = _series_cosets(B, series)
     chain = series.chain
-    n = len(chain) - 1
+    n = len(steps)
     if n == 0:
         # zero brace: injectivity already forces X to be a single point
         return MultidecompositionWitness(points, (points,), ())
@@ -408,11 +412,10 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
         levels.append(frozenset(x for x in points if emap[x] in chain[j]))
     levels.append(frozenset({meet[0]}))
     partitions = []
-    for j in range(n):
-        cosets = coset_partition(B, chain[j + 1], within=chain[j])
+    for level, cosets in zip(levels, steps):
         blocks = []
         for block in cosets.blocks:
-            pulled = frozenset(x for x in levels[j] if emap[x] in block)
+            pulled = frozenset(x for x in level if emap[x] in block)
             if pulled:
                 blocks.append(pulled)
         partitions.append(make_partition(blocks))

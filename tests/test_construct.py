@@ -57,6 +57,22 @@ class TestBraceFromRegularSubgroup:
         with pytest.raises(NotRegular):
             brace_from_regular_subgroup(G, bad)
 
+    def test_permutation_that_is_no_automorphism_rejected(self):
+        # each phi permutes C4 and fixes 0, and the product table is a group,
+        # but phi_1 = (1 2 3) is not additive, so the brace law fails
+        G = cyclic(4)
+        pool = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 2, 1, 3), (0, 3, 2, 1))
+        assert not all(groups.is_automorphism(G, p) for p in pool)
+        with pytest.raises(NotRegular):
+            brace_from_regular_subgroup(G, RegularSubgroup(G, pool, (0, 1, 2, 3)))
+
+    @pytest.mark.parametrize("entry", [-1, 4])
+    def test_out_of_range_phi_rejected(self, entry):
+        G = cyclic(4)
+        pool = (identity_perm(4), (0, 1, 2, entry))
+        with pytest.raises(NotRegular):
+            brace_from_regular_subgroup(G, RegularSubgroup(G, pool, (0, 1, 0, 0)))
+
 
 class TestEnumerateBracesOn:
     def test_trivial_group(self):

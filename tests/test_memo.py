@@ -1,5 +1,6 @@
 """Memoisation on the parent object: derived braces, series and the brace solution."""
 
+import gc
 import json
 
 import pytest
@@ -9,9 +10,16 @@ from braceforge.braces import quotient, sub_brace, subbraces, trivial_brace, val
 from braceforge.catalog import cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
-from braceforge.errors import BoundExceeded, NotAnIdeal
-from braceforge.structure import all_ideals, chief_series, derived_series, dossier
-from braceforge.ybe import solution_from_brace
+from braceforge.errors import BoundExceeded, NotAnIdeal, SeriesInvalid
+from braceforge.structure import (
+    SeriesWitness,
+    all_ideals,
+    chief_series,
+    derived_series,
+    dossier,
+    is_soluble,
+)
+from braceforge.ybe import embedded_multidecomposition, r_closed_subsets, solution_from_brace
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +53,58 @@ class TestSameObject:
         subbraces(B).clear()
         all_ideals(B).clear()
         assert len(subbraces(B)) == len(all_ideals(B)) == 4
+
+
+def reaches(value, target) -> bool:
+    """Whether target is reachable from value through object references."""
+    seen, stack = set(), [value]
+    while stack:
+        obj = stack.pop()
+        if obj is target:
+            return True
+        if id(obj) in seen or isinstance(obj, (type, type(gc))) or callable(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return False
+
+
+def embed_all(B, series):
+    """Embedded witnesses of every r-closed subset meeting the last series member."""
+    s = solution_from_brace(B)
+    last_nonzero = series.chain[-2]
+    for X in r_closed_subsets(s):
+        if X & last_nonzero:
+            embedded_multidecomposition(s, X, B, list(range(B.order)), series)
+
+
+class TestSeriesCosets:
+    def test_kind_is_part_of_the_key(self):
+        B = trivial_brace(symmetric_group(3))
+        series = derived_series(B)
+        embed_all(B, series)
+        chief = SeriesWitness("chief", series.chain)
+        for _ in range(2):
+            with pytest.raises(SeriesInvalid):
+                embedded_multidecomposition(solution_from_brace(B), B.carrier(), B,
+                                            range(6), chief)
+
+    def test_invalid_series_raises_on_every_call(self):
+        B = trivial_brace(cyclic(4))
+        not_ideal = SeriesWitness("abelian", (B.carrier(), frozenset({0, 1}), frozenset({0})))
+        for _ in range(3):
+            with pytest.raises(SeriesInvalid):
+                embedded_multidecomposition(solution_from_brace(B), {0}, B, range(4), not_ideal)
+
+    def test_no_new_cache_value_references_b(self, census8):
+        for B in census8:
+            if B.order == 1 or not is_soluble(B):
+                continue
+            series = derived_series(B)
+            before = set(B._cache)
+            embed_all(B, series)
+            new = [v for k, v in B._cache.items() if k not in before]
+            assert new and not any(reaches(v, B) for v in new)
 
 
 class TestChecksOnEveryCall:
@@ -119,3 +179,22 @@ def test_verify_d_validates_each_brace_solution_once(monkeypatch, tmp_path):
     # every soluble brace needs its solution, so the total pins one call each
     soluble = json.loads(out.read_text())["soluble"]
     assert soluble > 0 and len(calls) == soluble
+
+
+def test_verify_d_builds_each_series_step_once(monkeypatch, tmp_path):
+    calls = []
+    original = ybe.coset_partition
+
+    def counting(B, I, within=None):
+        calls.append(B)
+        return original(B, I, within)
+
+    monkeypatch.setattr(ybe, "coset_partition", counting)
+    out = tmp_path / "d.json"
+    assert main(["verify", "D", "--max-order", "8", "--out", str(out)]) == 0
+    # one call per step of each soluble brace's derived series, however many
+    # subsets share it
+    steps = [len(derived_series(e.brace).chain) - 1
+             for n in range(1, 9) for e in enumerate_braces(n) if is_soluble(e.brace)]
+    assert sum(steps) > len(steps) and len(calls) == sum(steps)
+    assert len(set(map(id, calls))) == sum(1 for k in steps if k)

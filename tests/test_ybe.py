@@ -18,6 +18,7 @@ from braceforge.groups import subgroups, subset_key
 from braceforge.structure import (
     ZERO,
     SeriesWitness,
+    abelian_step,
     all_ideals,
     derived_series,
     is_soluble,
@@ -52,6 +53,30 @@ def r_closed_scan(solution):
                for x in X for y in X):
             out.append(X)
     return sorted(out, key=subset_key)
+
+
+def embedded_reference(solution, X, B, embed, series):
+    """Reference for embedded_multidecomposition: check the series and build
+    every coset partition again for each X, as the per-subset path did."""
+    assert series.kind == "abelian"
+    chain = series.chain
+    assert chain[0] == B.carrier() and chain[-1] == ZERO
+    for upper, lower in zip(chain, chain[1:]):
+        assert lower < upper and abelian_step(B, upper, lower) is None
+    points = frozenset(X)
+    n = len(chain) - 1
+    if n == 0:
+        return MultidecompositionWitness(points, (points,), ())
+    meet = sorted(x for x in points if embed[x] in chain[n - 1])
+    levels = [points] + [frozenset(x for x in points if embed[x] in chain[j])
+                         for j in range(1, n)] + [frozenset({meet[0]})]
+    partitions = []
+    for j in range(n):
+        cosets = coset_partition(B, chain[j + 1], within=chain[j])
+        pulled = (frozenset(x for x in levels[j] if embed[x] in block)
+                  for block in cosets.blocks)
+        partitions.append(make_partition(b for b in pulled if b))
+    return MultidecompositionWitness(points, tuple(levels), tuple(partitions))
 
 
 def z4_two_step_series():
@@ -269,6 +294,23 @@ class TestEmbedded:
         s = solution_from_brace(B)
         w = embedded_multidecomposition(s, {0}, B, [0], derived_series(B))
         assert w.chain == (ZERO,) and w.partitions == ()
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_on_census(self, n):
+        # every r-closed subset meeting the last derived term of every soluble
+        # census brace of order n: shared series cosets give the same witness
+        for entry in enumerate_braces(n):
+            B = entry.brace
+            series = derived_series(B)
+            if not series.terminated:
+                continue
+            s = solution_from_brace(B)
+            identity = list(range(n))
+            last_nonzero = series.chain[-2] if n > 1 else ZERO
+            for X in r_closed_subsets(s):
+                if X & last_nonzero:
+                    want = embedded_reference(s, X, B, identity, series)
+                    assert embedded_multidecomposition(s, X, B, identity, series) == want
 
 
 class TestRClosedSubsets:
