@@ -23,7 +23,9 @@ from .groups import (
     Perm,
     _isomorphisms,
     check_bound,
+    compose,
     enumeration_bound,
+    generating_set,
     identity_perm,
     memoised,
     subgroups,
@@ -104,16 +106,22 @@ class NoOrderMatch(GroupValidationError):
 
 
 def _lambda_table(add: FiniteGroup, mul: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(add.table[add.inverse[a]][mul.table[a][b]]
-                       for b in add.elements())
-                 for a in add.elements())
+    return tuple(compose(add.table[add.inverse[a]], mul.table[a]) for a in add.elements())
 
 
 def validate_brace(add_table: Sequence[Sequence[int]],
                    mul_table: Sequence[Sequence[int]]) -> SkewBrace:
     """Validate both groups and the compatibility law a(b+c) = ab - a + ac.
 
-    The scan is lexicographic, so a failure reports the first witness triple.
+    The law says that every lambda_a: b -> -a + ab is additive, and once both
+    groups validate it is proven on generators.  For a fixed a, the b with
+    lambda_a(b + c) = lambda_a(b) + lambda_a(c) for all c are closed under +;
+    the a whose lambda_a is additive are closed under the product, because
+    for them lambda_a lambda_b = lambda_ab.  So the row c -> lambda_a(b + c)
+    is compared with c -> lambda_a(b) + lambda_a(c) only for a in the
+    generating_set of mul and b in that of add.  When a row differs, the
+    lexicographic scan over all triples names the first witness, so a
+    rejection reports the same BraceAxiomFailed as a full scan.
     """
     try:
         add = validate_group(add_table)
@@ -125,6 +133,26 @@ def validate_brace(add_table: Sequence[Sequence[int]],
         raise GroupInvalid("mul", exc) from exc
     if add.order != mul.order:
         raise GroupInvalid("mul", NoOrderMatch(add.order, mul.order))
+    lam = _lambda_table(add, mul)
+    if not _lambda_additive(add.table, mul.table, lam):
+        _brace_law_scan(add, mul)
+        raise InternalInvariant("the brace law failed on generators but the scan found no witness")
+    return SkewBrace(add, mul, lam)
+
+
+def _lambda_additive(at: tuple[tuple[int, ...], ...], mt: tuple[tuple[int, ...], ...],
+                     lam: tuple[tuple[int, ...], ...]) -> bool:
+    """lambda_a(b + .) == lambda_a(b) + lambda_a(.) as rows, for every pair of generators."""
+    add_gens = generating_set(at)
+    for a in generating_set(mt):
+        la = lam[a]
+        if any(compose(la, at[b]) != compose(at[la[b]], la) for b in add_gens):
+            return False
+    return True
+
+
+def _brace_law_scan(add: FiniteGroup, mul: FiniteGroup) -> None:
+    """Raise BraceAxiomFailed at the lexicographically first failing triple, if any."""
     n = add.order
     at, mt, ai = add.table, mul.table, add.inverse
     for a in range(n):
@@ -136,7 +164,6 @@ def validate_brace(add_table: Sequence[Sequence[int]],
             for c in range(n):
                 if ma[rb[c]] != rhs_row[ma[c]]:
                     raise BraceAxiomFailed(a, b, c)
-    return SkewBrace(add, mul, _lambda_table(add, mul))
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
+    InternalInvariant,
     InvalidBound,
     NoIdentityAtZero,
     NoInverse,
@@ -87,9 +89,17 @@ def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Function composition: (p . q)(x) = p(q(x))."""
-    return tuple(p[q[i]] for i in range(len(q)))
+def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
+    """Function composition: (p . q)(x) = p(q(x)), as a tuple.
+
+    The row kernel of the validators: on Cayley-table rows, compose(row(x),
+    row(g)) is the row y -> x(gy).  One `operator.itemgetter` call does the
+    gather at C speed; it returns a bare entry when given one index, hence
+    the guard.
+    """
+    if len(q) < 2:
+        return tuple(p[i] for i in q)
+    return operator.itemgetter(*q)(p)
 
 
 def invert(p: Perm) -> Perm:
@@ -188,7 +198,30 @@ class FiniteGroup:
 
 
 def _check_latin_with_identity(table: Sequence[Sequence[int]]) -> None:
-    """Non-empty square Latin table of ints 0..n-1 with identity at 0, in that order."""
+    """Non-empty square Latin table of ints 0..n-1 with identity at 0, in that order.
+
+    Whole rows and columns are compared with 0..n-1 as sets first; a table
+    they reject goes through the entry-by-entry scan, which names the first
+    failure.
+    """
+    if not _is_latin_with_identity(table):
+        _latin_scan(table)
+        raise InternalInvariant("the set-based Latin check rejected a table the scan accepts")
+
+
+def _is_latin_with_identity(table: Sequence[Sequence[int]]) -> bool:
+    n = len(table)
+    full = set(range(n))
+    return (n >= 1
+            and all(len(row) == n and set(map(type, row)) == {int} and set(row) == full
+                    for row in table)
+            and all(set(col) == full for col in zip(*table))
+            and list(table[0]) == list(range(n))
+            and [row[0] for row in table] == list(range(n)))
+
+
+def _latin_scan(table: Sequence[Sequence[int]]) -> None:
+    """Raise the first failure of the Latin-square and identity checks, if any."""
     n = len(table)
     if n < 1:
         raise NotClosed(0, 0, "empty table")
@@ -221,12 +254,43 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -
     """Check the group axioms and return the group, or raise the first failure.
 
     Checks run in the order: closure/Latin square, identity at 0,
-    associativity (exhaustive, for order <= enumeration_bound()), inverses.
+    associativity (for order <= enumeration_bound()), inverses.
+
+    Associativity is proven by Light's test on generating_set(table): the
+    elements g with (xg)y = x(gy) for all x, y are closed under the product,
+    so it is enough that row(xg) == compose(row(x), row(g)) for every x and
+    every generator g, |S| n row compares in all.  When the test fails, the
+    lexicographic scan over all triples names the first witness, so a
+    rejection reports the same NotAssociative as a full scan.
     """
     _check_latin_with_identity(table)
     n = len(table)
     check_bound("group order (associativity scan)", n, enumeration_bound())
-    rows = [tuple(row) for row in table]
+    rows = tuple(tuple(row) for row in table)
+    if not _light_associative(rows):
+        _assoc_scan(rows)
+        raise InternalInvariant("Light's associativity test rejected a table the scan accepts")
+    inverse = [0] * n
+    for a in range(n):
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise NoInverse(a)
+        inverse[a] = b
+    return FiniteGroup(rows, tuple(inverse), name)
+
+
+def _light_associative(rows: tuple[tuple[int, ...], ...]) -> bool:
+    """Light's test: row(xg) == row(x) . row(g) for every x and every generator g."""
+    for g in generating_set(rows):
+        rg = rows[g]
+        if any(rows[row[g]] != compose(row, rg) for row in rows):
+            return False
+    return True
+
+
+def _assoc_scan(rows: tuple[tuple[int, ...], ...]) -> None:
+    """Raise NotAssociative at the lexicographically first failing triple, if any."""
+    n = len(rows)
     for a in range(n):
         ra = rows[a]
         for b in range(n):
@@ -236,13 +300,6 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -
             for c in range(n):
                 if rab[c] != ra[rb[c]]:
                     raise NotAssociative(a, b, c)
-    inverse = [0] * n
-    for a in range(n):
-        b = rows[a].index(0)
-        if rows[b][a] != 0:
-            raise NoInverse(a)
-        inverse[a] = b
-    return FiniteGroup(tuple(rows), tuple(inverse), name)
 
 
 def _group_unchecked(table: Sequence[Sequence[int]], name: str | None = None) -> FiniteGroup:
@@ -283,16 +340,37 @@ def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     return sorted(seen, key=subset_key)
 
 
-def generating_set(G: FiniteGroup) -> tuple[int, ...]:
-    """Small deterministic generating set, grown greedily by element index."""
+def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Small deterministic generating set of a Cayley table, grown greedily by index.
+
+    Every element that the generators so far do not reach becomes the next
+    generator.  One closure grows incrementally: each member is multiplied on
+    the right by each generator once, O(n |S|) products in all.  In a group
+    the closure is the subgroup the generators generate, so the choice is
+    the one that re-closing from scratch makes; in any table with identity
+    at 0 every element is a product of the generators.
+    """
+    n = len(table)
     gens: list[int] = []
-    have = frozenset({0})
-    for g in G.elements():
-        if g not in have:
-            gens.append(g)
-            have = G.closure(have | {g})
-            if len(have) == G.order:
-                break
+    members = [0]
+    seen = [False] * n
+    seen[0] = True
+    for g in range(n):
+        if len(members) == n:
+            break
+        if seen[g]:
+            continue
+        gens.append(g)
+        old = len(members)  # these have met every earlier generator already
+        i = 0
+        while i < len(members):
+            row = table[members[i]]
+            for s in (g,) if i < old else gens:
+                z = row[s]
+                if not seen[z]:
+                    seen[z] = True
+                    members.append(z)
+            i += 1
     return tuple(gens)
 
 
@@ -336,7 +414,7 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
     Tries each image of generating_set(G) among the elements of H with the
     generator's signature, in lexicographic order of the image tuple.
     """
-    gens = generating_set(G)
+    gens = generating_set(G.table)
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
     for images in itertools.product(*candidates):
         f = _hom_from_generator_images(G, H, gens, images)

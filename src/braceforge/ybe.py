@@ -8,6 +8,7 @@ with coset partitions, re-verified block by block before they are returned.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .errors import (
     SeriesInvalid,
 )
 from .structure import SeriesWitness, ZERO, abelian_step
-from .groups import memoised, subset_key
+from .groups import compose, memoised, subset_key
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,12 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
                       rho_tab: Sequence[Sequence[int]]) -> Solution:
     """Check bijectivity of every component map and the braid relation.
 
-    The braid scan covers all m^3 triples and reports the first failure.
+    The braid relation r12 r23 r12 = r23 r12 r23 is decided exactly, for each
+    pair (x, y), on whole rows over z: each of the three output components
+    of both sides is one composition of table rows or one gather of entries
+    from a table, and the two sides are compared as tuples.  When a pair
+    fails, the scan over all m^3 triples names the first witness, so a
+    rejection reports the same BraidFailed as a full scan.
     """
     m = len(lambda_tab)
     if len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
@@ -69,10 +75,49 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
         for x, row in enumerate(tab):
             # bool and float entries compare equal to ints, and lists cannot be
             # hashed, so the type is checked first
-            if any(type(v) is not int for v in row) or set(row) != full:
+            if set(map(type, row)) != {int} or set(row) != full:
                 raise Degenerate(which, x)
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
+    if not _braid_holds(lam, rho):
+        _braid_scan(lam, rho)
+        raise InternalInvariant("the braid relation failed on rows but the scan found no witness")
+    return Solution(m, lam, rho)
+
+
+def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> bool:
+    """The braid relation on all m^3 triples, decided per (x, y) on three rows over z.
+
+    With (a, b) = r(x, y), r(y, z) = (d[z], e[z]) and d2[z] = rho[d[z]][x], the
+    two sides' outputs are, as rows over z:
+      first:  lam[a] o lam[b]      and  lam[x] o d;
+      second: rho_t[a] o lam[b]    and  z -> lam[d2[z]][e[z]];
+      third:  rho_t[b]             and  z -> rho[e[z]][d2[z]].
+    """
+    m = len(lam)
+    if m < 2:
+        return True  # the only bijective tables on one point are the flip
+    rho_t = tuple(zip(*rho))  # rho_t[y][z] = rho[z][y], the second output of r(y, z)
+    after = [operator.itemgetter(*row) for row in lam]  # after[y](p) = compose(p, lam[y])
+    # a gathered row is built as a list: a tuple built from a map changes size
+    # as it fills, which strands tuples on the interpreter's per-size free lists
+    get = operator.getitem
+    for x in range(m):
+        lam_x, rho_x = lam[x], rho_t[x]
+        for y in range(m):
+            a, b = lam_x[y], rho[y][x]
+            e = rho_t[y]
+            d2 = after[y](rho_x)
+            if (after[b](lam[a]) != after[y](lam_x)
+                    or list(after[b](rho_t[a])) != list(map(get, compose(lam, d2), e))
+                    or list(rho_t[b]) != list(map(get, compose(rho, e), d2))):
+                return False
+    return True
+
+
+def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> None:
+    """Raise BraidFailed at the lexicographically first failing triple, if any."""
+    m = len(lam)
 
     def r(x, y):
         return lam[x][y], rho[y][x]
@@ -91,7 +136,6 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
                 rhs = (x2, d, e2)
                 if lhs != rhs:
                     raise BraidFailed(x, y, z)
-    return Solution(m, lam, rho)
 
 
 def flip_solution(m: int) -> Solution:

@@ -310,6 +310,26 @@ class TestRegularSubgroups:
         assert built == []
 
 
+def greedy_generators(G):
+    """Reference for generating_set: re-close the subgroup after each new generator."""
+    gens = []
+    have = frozenset({0})
+    for g in G.elements():
+        if g not in have:
+            gens.append(g)
+            have = G.closure(have | {g})
+            if len(have) == G.order:
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_generating_set_matches_the_reclosing_greedy(n):
+    for entry in groups_of_order(n):
+        G = entry.group
+        assert groups.generating_set(G.table) == greedy_generators(G), entry.name
+
+
 class TestIsomorphism:
     def test_same_group(self):
         assert group_isomorphism(cyclic(6), cyclic(6)) == identity_perm(6)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braceforge import cli, jsonio, structure
-from braceforge.braces import is_isomorphic, trivial_brace
+from braceforge.braces import almost_trivial_brace, is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
@@ -20,7 +20,7 @@ from braceforge.errors import (
     TheoremViolation,
 )
 from braceforge.structure import ChiefFactorReport, is_soluble
-from braceforge.ybe import flip_solution
+from braceforge.ybe import flip_solution, solution_from_brace
 
 
 # C3 with its identity at index 1, so the loader relabels it
@@ -233,6 +233,43 @@ class TestCliAnalyze:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("I/O error:")
         assert not out.exists()
+
+
+def law_breaking_document(kind):
+    """A document that passes the Latin and bijectivity checks and breaks one law."""
+    s3 = [list(r) for r in symmetric_group(3).table]
+    if kind == "associativity":
+        # the 2x2 Latin subsquare at rows 2, 3 and columns 2, 4 flipped; Light's
+        # test passes for the first generator and fails for the second
+        add = [list(r) for r in s3]
+        for r in (2, 3):
+            add[r][2], add[r][4] = add[r][4], add[r][2]
+        return {"add": add, "mul": s3}
+    if kind == "brace-law":
+        tau = (0, 1, 2, 3, 5, 4)
+        mul = [[0] * 6 for _ in range(6)]
+        for a in range(6):
+            for b in range(6):
+                mul[tau[a]][tau[b]] = tau[s3[a][b]]
+        return {"add": s3, "mul": mul}
+    solution = solution_from_brace(almost_trivial_brace(symmetric_group(3))).to_json()
+    row = solution["lambda"][1]
+    row[0], row[2] = row[2], row[0]
+    return solution
+
+
+class TestCliRejectionBytes:
+    @pytest.mark.parametrize("command, kind, line", [
+        ("analyze", "associativity",
+         "validation failed: add table is not a group: associativity fails at (1,2,2)\n"),
+        ("analyze", "brace-law", "validation failed: a(b+c) = ab - a + ac fails at (1,2,2)\n"),
+        ("decompose", "braid", "validation failed: braid relation fails at (1,0,1)\n"),
+    ])
+    def test_stderr_names_the_first_witness(self, tmp_path, capsys, command, kind, line):
+        path = write(tmp_path, "doc.json", law_breaking_document(kind))
+        assert main([command, path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
 
 
 class TestCliDecompose:

@@ -1,0 +1,300 @@
+"""The group, brace and braid validators against the full scans they replaced.
+
+validate_group, validate_brace and validate_solution prove their laws on
+generators and whole rows, and run a lexicographic scan only to name the
+first witness of a rejection.  The scans over every triple are kept here as
+the references assoc_scan, brace_law_scan and braid_scan.  On every input
+each validator must reach the reference's verdict: the same tables when it
+accepts, and the same exception type, message, witness and cause type when it
+rejects.
+"""
+
+import json
+import random
+
+import pytest
+
+from braceforge import braces, cli, groups, jsonio, ybe
+from braceforge.braces import NoOrderMatch, validate_brace
+from braceforge.catalog import symmetric_group
+from braceforge.cli import main
+from braceforge.construct import enumerate_braces
+from braceforge.errors import (
+    BraceAxiomFailed,
+    BraceforgeError,
+    BraidFailed,
+    Degenerate,
+    GroupInvalid,
+    GroupValidationError,
+    InternalInvariant,
+    NoInverse,
+    NotAssociative,
+)
+from braceforge.groups import compose, generating_set, validate_group
+from braceforge.ybe import solution_from_brace, validate_solution
+
+CENSUS = [e.brace for n in range(1, 13) for e in enumerate_braces(n)]
+ROUNDS = 4  # seeded corruptions drawn per census brace
+S3 = symmetric_group(3)
+
+
+def assoc_scan(table):
+    """Reference for validate_group: the entry-by-entry Latin and identity
+    check, every triple in lexicographic order, then the inverses."""
+    groups._latin_scan(table)
+    n = len(table)
+    rows = tuple(tuple(row) for row in table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if rows[rows[a][b]][c] != rows[a][rows[b][c]]:
+                    raise NotAssociative(a, b, c)
+    inverse = []
+    for a in range(n):
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise NoInverse(a)
+        inverse.append(b)
+    return rows, tuple(inverse)
+
+
+def brace_law_scan(add_table, mul_table):
+    """Reference for validate_brace: both groups by assoc_scan, then
+    a(b+c) = ab - a + ac on every triple in lexicographic order."""
+    try:
+        at, ai = assoc_scan(add_table)
+    except GroupValidationError as exc:
+        raise GroupInvalid("add", exc) from exc
+    try:
+        mt, _ = assoc_scan(mul_table)
+    except GroupValidationError as exc:
+        raise GroupInvalid("mul", exc) from exc
+    n = len(at)
+    if len(mt) != n:
+        raise GroupInvalid("mul", NoOrderMatch(n, len(mt)))
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mt[a][at[b][c]] != at[at[mt[a][b]][ai[a]]][mt[a][c]]:
+                    raise BraceAxiomFailed(a, b, c)
+    lam = tuple(tuple(at[ai[a]][mt[a][b]] for b in range(n)) for a in range(n))
+    return at, mt, lam
+
+
+def braid_scan(lambda_tab, rho_tab):
+    """Reference for validate_solution: bijectivity of every row, then
+    r12 r23 r12 = r23 r12 r23 on every triple in lexicographic order."""
+    m = len(lambda_tab)
+    if len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
+            or any(len(r) != m for r in rho_tab):
+        raise Degenerate("table shape", m)
+    for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
+        for x, row in enumerate(tab):
+            if any(type(v) is not int for v in row) or set(row) != set(range(m)):
+                raise Degenerate(which, x)
+    lam = tuple(tuple(r) for r in lambda_tab)
+    rho = tuple(tuple(r) for r in rho_tab)
+
+    def r(x, y):
+        return lam[x][y], rho[y][x]
+
+    for x in range(m):
+        for y in range(m):
+            for z in range(m):
+                a, b = r(x, y)
+                b, c = r(b, z)
+                a, b = r(a, b)
+                d, e = r(y, z)
+                x2, d = r(x, d)
+                d, e2 = r(d, e)
+                if (a, b, c) != (x2, d, e2):
+                    raise BraidFailed(x, y, z)
+    return lam, rho
+
+
+def verdict(run):
+    """("ok", what run returns), or the exception's type, message, witness and cause type."""
+    try:
+        return "ok", run()
+    except BraceforgeError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None),
+                type(getattr(exc, "cause", None)).__name__)
+
+
+def group_verdict(table):
+    def run():
+        G = validate_group(table)
+        return G.table, G.inverse
+    return verdict(run)
+
+
+def brace_verdict(add, mul):
+    def run():
+        B = validate_brace(add, mul)
+        return B.add.table, B.mul.table, B.lam
+    return verdict(run)
+
+
+def solution_verdict(lam, rho):
+    def run():
+        S = validate_solution(lam, rho)
+        return S.lambda_tab, S.rho_tab
+    return verdict(run)
+
+
+def intercalate_swap(rng, table):
+    """The table with a random 2x2 Latin subsquare off row and column 0
+    flipped, so it stays Latin with identity 0; None when there is none."""
+    n = len(table)
+    quads = [(r1, r2, c1, c2)
+             for r1 in range(1, n) for r2 in range(r1 + 1, n)
+             for c1 in range(1, n) for c2 in range(c1 + 1, n)
+             if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]]
+    if not quads:
+        return None
+    r1, r2, c1, c2 = rng.choice(quads)
+    out = [list(row) for row in table]
+    for r in (r1, r2):
+        out[r][c1], out[r][c2] = out[r][c2], out[r][c1]
+    return out
+
+
+def relabelled(table, tau):
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[tau[a]][tau[b]] = tau[table[a][b]]
+    return out
+
+
+def row_swap(rng, table):
+    """The table with two entries of one random row swapped."""
+    out = [list(row) for row in table]
+    row = rng.randrange(len(out))
+    i, j = rng.sample(range(len(out)), 2)
+    out[row][i], out[row][j] = out[row][j], out[row][i]
+    return out
+
+
+def kinds(verdicts):
+    return {v[0] for v in verdicts}
+
+
+class TestDifferential:
+    def test_census_groups_and_braces(self):
+        for B in CENSUS:
+            for table in (B.add.table, B.mul.table):
+                assert group_verdict(table) == verdict(lambda: assoc_scan(table))
+            assert brace_verdict(B.add.table, B.mul.table) == \
+                verdict(lambda: brace_law_scan(B.add.table, B.mul.table))
+
+    def test_census_solutions(self):
+        for B in CENSUS:
+            S = solution_from_brace(B)
+            assert solution_verdict(S.lambda_tab, S.rho_tab) == \
+                verdict(lambda: braid_scan(S.lambda_tab, S.rho_tab))
+
+    def test_intercalate_swaps(self):
+        rng = random.Random(9)
+        seen = []
+        for B in CENSUS * ROUNDS:
+            for which in ("add", "mul"):
+                table = intercalate_swap(rng, getattr(B, which).table)
+                if table is None:
+                    continue
+                got = group_verdict(table)
+                assert got == verdict(lambda: assoc_scan(table)), table
+                add, mul = (table, B.mul.table) if which == "add" else (B.add.table, table)
+                got_brace = brace_verdict(add, mul)
+                assert got_brace == verdict(lambda: brace_law_scan(add, mul)), (add, mul)
+                seen.append(got)
+        assert len(seen) > 100 and "NotAssociative" in kinds(seen)
+
+    def test_mul_relabelled_by_a_permutation_fixing_zero(self):
+        rng = random.Random(10)
+        seen = []
+        for B in CENSUS * ROUNDS:
+            tau = [0] + rng.sample(range(1, B.order), B.order - 1)
+            mul = relabelled(B.mul.table, tau)
+            got = brace_verdict(B.add.table, mul)
+            assert got == verdict(lambda: brace_law_scan(B.add.table, mul)), (B.add.table, mul)
+            seen.append(got)
+        assert {"ok", "BraceAxiomFailed"} <= kinds(seen)
+
+    def test_entry_swaps_in_lambda_and_rho_rows(self):
+        rng = random.Random(11)
+        seen = []
+        for B in CENSUS * ROUNDS:
+            if B.order < 2:
+                continue
+            S = solution_from_brace(B)
+            lam, rho = S.lambda_tab, S.rho_tab
+            if rng.random() < 0.5:
+                lam = row_swap(rng, lam)
+            else:
+                rho = row_swap(rng, rho)
+            got = solution_verdict(lam, rho)
+            assert got == verdict(lambda: braid_scan(lam, rho)), (lam, rho)
+            seen.append(got)
+        assert "BraidFailed" in kinds(seen)
+
+    def test_single_entries_replaced_and_rows_swapped(self):
+        rng = random.Random(12)
+        seen = []
+        for B in CENSUS * ROUNDS:
+            n = B.order
+            table = [list(row) for row in B.add.table]
+            a, b = rng.randrange(n), rng.randrange(n)
+            if n > 2 and rng.random() < 0.3:
+                a = a or 1
+                b = b or 2
+                table[a], table[b] = table[b], table[a]
+            else:
+                table[a][b] = rng.choice([-1, n, True, 1.5, rng.randrange(n)])
+            got = group_verdict(table)
+            assert got == verdict(lambda: assoc_scan(table)), table
+            seen.append(got)
+        assert {"NotClosed", "NoIdentityAtZero"} <= kinds(seen)
+
+    def test_failure_only_at_a_later_generator(self):
+        # S3 with the intercalate at rows 2, 3 and columns 2, 4 flipped: Light's
+        # test passes for the first generator and fails for the second
+        table = [list(r) for r in S3.table]
+        for r in (2, 3):
+            table[r][2], table[r][4] = table[r][4], table[r][2]
+        rows = tuple(tuple(r) for r in table)
+        passes = [all(rows[row[g]] == compose(row, rows[g]) for row in rows)
+                  for g in generating_set(rows)]
+        assert passes[0] and not all(passes)
+        got = group_verdict(table)
+        assert got == verdict(lambda: assoc_scan(table))
+        assert got[0] == "NotAssociative"
+
+
+KERNELS = pytest.mark.parametrize("module, kernel", [
+    (groups, "_is_latin_with_identity"),
+    (groups, "_light_associative"),
+    (braces, "_lambda_additive"),
+    (ybe, "_braid_holds"),
+])
+
+
+@KERNELS
+def test_kernel_that_rejects_a_valid_input_is_an_internal_error(monkeypatch, tmp_path, capsys,
+                                                                module, kernel):
+    B = CENSUS[-1]
+    S = solution_from_brace(B)
+    monkeypatch.setattr(module, kernel, lambda *args: False)
+    if module is ybe:
+        with pytest.raises(InternalInvariant):
+            validate_solution(S.lambda_tab, S.rho_tab)
+        command, document = "decompose", S.to_json()
+    else:
+        with pytest.raises(InternalInvariant):
+            validate_brace(B.add.table, B.mul.table)
+        command, document = "analyze", jsonio.brace_to_json(B)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main([command, str(path)]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("internal error: ")
