@@ -183,18 +183,37 @@ class FiniteGroup:
                                 for b in self.elements()))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by seed; finite, so product closure suffices."""
-        members = {0}
-        members.update(seed)
-        work = list(members)
-        while work:
-            x = work.pop()
-            for y in tuple(members):
-                for z in (self.table[x][y], self.table[y][x]):
-                    if z not in members:
-                        members.add(z)
-                        work.append(z)
+        """Subgroup generated by seed, grown by grow_closure: O(|K| |gens|) products."""
+        members, seen, gens = [0], [True] + [False] * (self.order - 1), []
+        for g in seed:
+            if not seen[g]:
+                grow_closure(self.table, members, seen, gens, g)
         return frozenset(members)
+
+
+def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[bool],
+                 gens: list[int], g: int) -> None:
+    """Make g, not yet a member, the next generator of a closure grown in place.
+
+    `members` lists the elements reached, from [0], `seen[x]` marks them, and
+    they are closed under right products by every generator in `gens`.  The
+    new generator multiplies every member once, and every new member
+    multiplies each generator, so the whole growth costs O(|K| |gens|)
+    products.  In a finite group the members form the subgroup the
+    generators generate; in any table with identity at 0 they are every
+    product of the generators.
+    """
+    gens.append(g)
+    old = len(members)  # these have met every earlier generator already
+    i = 0
+    while i < len(members):
+        row = table[members[i]]
+        for s in (g,) if i < old else gens:
+            z = row[s]
+            if not seen[z]:
+                seen[z] = True
+                members.append(z)
+        i += 1
 
 
 def _check_latin_with_identity(table: Sequence[Sequence[int]]) -> None:
@@ -317,7 +336,8 @@ def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups of G, canonically ordered (size, then sorted members).
 
     Enumerated by closing H u {g} for every known subgroup H and g outside it;
-    every subgroup arises this way from the trivial one.
+    every subgroup arises this way from the trivial one.  Since <H, hg> =
+    <H, g>, one g per right coset Hg is closed.
     """
     check_bound("group order", G.order, enumeration_bound())
     return list(_subgroups(G))
@@ -325,14 +345,17 @@ def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
 
 @memoised
 def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+    table = G.table
     base = frozenset({0})
     seen = {base}
     frontier = [base]
     while frontier:
         H = frontier.pop()
+        covered = set(H)  # the union of the right cosets already closed
         for g in G.elements():
-            if g in H:
+            if g in covered:
                 continue
+            covered.update(table[h][g] for h in H)
             K = G.closure(H | {g})
             if K not in seen:
                 seen.add(K)
@@ -344,33 +367,18 @@ def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Small deterministic generating set of a Cayley table, grown greedily by index.
 
     Every element that the generators so far do not reach becomes the next
-    generator.  One closure grows incrementally: each member is multiplied on
-    the right by each generator once, O(n |S|) products in all.  In a group
-    the closure is the subgroup the generators generate, so the choice is
-    the one that re-closing from scratch makes; in any table with identity
-    at 0 every element is a product of the generators.
+    generator, and grow_closure grows one closure, O(n |S|) products in all.
+    In a group the closure is the subgroup the generators generate, so the
+    choice is the one that re-closing from scratch makes; in any table with
+    identity at 0 every element is a product of the generators.
     """
     n = len(table)
-    gens: list[int] = []
-    members = [0]
-    seen = [False] * n
-    seen[0] = True
+    members, seen, gens = [0], [True] + [False] * (n - 1), []
     for g in range(n):
         if len(members) == n:
             break
-        if seen[g]:
-            continue
-        gens.append(g)
-        old = len(members)  # these have met every earlier generator already
-        i = 0
-        while i < len(members):
-            row = table[members[i]]
-            for s in (g,) if i < old else gens:
-                z = row[s]
-                if not seen[z]:
-                    seen[z] = True
-                    members.append(z)
-            i += 1
+        if not seen[g]:
+            grow_closure(table, members, seen, gens, g)
     return tuple(gens)
 
 
@@ -610,24 +618,44 @@ def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Perm | None:
 
 
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    members = set(G.closure(seed))
-    work = list(members)
-    while work:
-        x = work.pop()
+    """Least normal subgroup containing seed.
+
+    One closure grows from the seed, and each member's conjugates are added
+    once, when it is reached: at the end the members are closed under the
+    product and under conjugation.
+    """
+    table, inverse = G.table, G.inverse
+    members, seen, gens = [0], [True] + [False] * (G.order - 1), []
+    for y in seed:
+        if not seen[y]:
+            grow_closure(table, members, seen, gens, y)
+    k = 0
+    while k < len(members):
+        x = members[k]
         for g in G.elements():
-            y = G.conjugate(g, x)
-            if y not in members:
-                grown = G.closure(members | {y})
-                work.extend(grown - members)
-                members = set(grown)
+            y = table[table[g][x]][inverse[g]]
+            if not seen[y]:
+                grow_closure(table, members, seen, gens, y)
+        k += 1
     return frozenset(members)
 
 
 def is_simple(G: FiniteGroup) -> bool:
-    """No proper non-trivial normal subgroup (order-1 groups are not simple)."""
+    """No proper non-trivial normal subgroup (order-1 groups are not simple).
+
+    Conjugates have the same normal closure, so one element per conjugacy
+    class is tried.
+    """
     if G.order == 1:
         return False
-    return all(len(normal_closure(G, {g})) == G.order for g in range(1, G.order))
+    covered = {0}
+    for g in G.elements():
+        if g in covered:
+            continue
+        if len(normal_closure(G, {g})) != G.order:
+            return False
+        covered.update(G.conjugate(h, g) for h in G.elements())
+    return True
 
 
 def assert_simple_nonabelian(G: FiniteGroup) -> None:

@@ -19,12 +19,11 @@ from .braces import (
     quotient,
     require_ideal,
     socle,
-    star,
     sub_brace,
     subbraces,
 )
 from .errors import InternalInvariant, NotAnIdeal, NotSoluble, TheoremViolation
-from .groups import memoised, subgroups, subset_key
+from .groups import grow_closure, memoised, subgroups, subset_key
 
 ZERO = frozenset({0})
 
@@ -49,35 +48,48 @@ def maximal_ideals(B: SkewBrace) -> list[frozenset[int]]:
 
 
 def commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
-    """Smallest ideal containing both group commutators and all ij - (i+j).
-
-    Starting from the additive closure of the generators, alternate closure
-    passes (lambda-invariance, additive normality, star absorption, additive
-    closure) until the set stabilizes; the carrier is finite so this is a
-    fixpoint computation.
-    """
+    """Smallest ideal containing both group commutators and all ij - (i+j); memoised on B."""
     require_ideal(B, I, J)
-    gens = set()
+    return _commutator(B, frozenset(I), frozenset(J))
+
+
+@memoised
+def _commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
+    """The ideal generated by the commutator generators, grown by a worklist.
+
+    The generators are read off the raw tables and start one additive
+    closure.  Each element's images under every lambda_b, every additive
+    conjugation b + s - b and every star s * b are taken once, when the
+    element is reached, and an image not yet reached becomes an additive
+    generator.  The members are then closed under +, lambda, conjugation and
+    star, so they are the least ideal holding the generators.
+    """
+    at, ai = B.add.table, B.add.inverse
+    mt, mi = B.mul.table, B.mul.inverse
+    lam = B.lam
+    members, seen, gens = [0], [True] + [False] * (B.order - 1), []
     for i in I:
+        neg_i, inv_i, ri = ai[i], mi[i], mt[i]
         for j in J:
-            gens.add(B.plus(B.plus(B.plus(B.neg(i), B.neg(j)), i), j))
-            gens.add(B.times(B.times(B.times(B.tinv(i), B.tinv(j)), i), j))
-            gens.add(B.plus(B.times(i, j), B.neg(B.plus(i, j))))
-    current = B.add.closure(gens)
-    while True:
-        grown = set(current)
-        for s in current:
-            for b in B.elements():
-                grown.add(B.lam[b][s])
-                grown.add(B.plus(B.plus(b, s), B.neg(b)))
-                grown.add(star(B, s, b))
-        grown = B.add.closure(grown)
-        if grown == current:
-            break
-        current = frozenset(grown)
+            for y in (at[at[at[neg_i][ai[j]]][i]][j],
+                      mt[mt[mt[inv_i][mi[j]]][i]][j],
+                      at[ri[j]][ai[at[i][j]]]):
+                if not seen[y]:
+                    grow_closure(at, members, seen, gens, y)
+    pairs = tuple(zip(at, ai))  # (row of b, -b) for every b
+    k = 0
+    while k < len(members):
+        s = members[k]
+        ls = lam[s]
+        for b, (rb, nb) in enumerate(pairs):
+            for y in (lam[b][s], at[rb[s]][nb], at[ls[b]][nb]):
+                if not seen[y]:
+                    grow_closure(at, members, seen, gens, y)
+        k += 1
+    current = frozenset(members)
     if not classify_subset(B, current).ideal:
         raise InternalInvariant("commutator closure did not reach an ideal")
-    return frozenset(current)
+    return current
 
 
 def derived_ideal(B: SkewBrace) -> frozenset[int]:

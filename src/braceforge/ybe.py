@@ -79,14 +79,18 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
                 raise Degenerate(which, x)
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
-    if not _braid_holds(lam, rho):
-        _braid_scan(lam, rho)
-        raise InternalInvariant("the braid relation failed on rows but the scan found no witness")
+    held = _braid_holds(lam, rho)
+    if held < m * m:
+        _braid_scan(lam, rho, *divmod(held, m))
     return Solution(m, lam, rho)
 
 
-def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> bool:
-    """The braid relation on all m^3 triples, decided per (x, y) on three rows over z.
+def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> int:
+    """How many pairs (x, y), in lexicographic order, pass before the first that fails.
+
+    m^2 when the braid relation holds on all m^3 triples.  It is decided per
+    (x, y) on three rows over z, so the first failing pair is the pair of the
+    lexicographically first failing triple.
 
     With (a, b) = r(x, y), r(y, z) = (d[z], e[z]) and d2[z] = rho[d[z]][x], the
     two sides' outputs are, as rows over z:
@@ -96,7 +100,7 @@ def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], .
     """
     m = len(lam)
     if m < 2:
-        return True  # the only bijective tables on one point are the flip
+        return m  # the only bijective tables on one point are the flip
     rho_t = tuple(zip(*rho))  # rho_t[y][z] = rho[z][y], the second output of r(y, z)
     after = [operator.itemgetter(*row) for row in lam]  # after[y](p) = compose(p, lam[y])
     # a gathered row is built as a list: a tuple built from a map changes size
@@ -111,31 +115,35 @@ def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], .
             if (after[b](lam[a]) != after[y](lam_x)
                     or list(after[b](rho_t[a])) != list(map(get, compose(lam, d2), e))
                     or list(rho_t[b]) != list(map(get, compose(rho, e), d2))):
-                return False
-    return True
+                return x * m + y
+    return m * m
 
 
-def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> None:
-    """Raise BraidFailed at the lexicographically first failing triple, if any."""
+def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...],
+                x: int, y: int) -> None:
+    """Raise BraidFailed at the first z on which the pair (x, y) fails.
+
+    Raises InternalInvariant when no z fails: the row test named a pair that
+    the triples do not confirm.
+    """
     m = len(lam)
 
     def r(x, y):
         return lam[x][y], rho[y][x]
 
-    for x in range(m):
-        for y in range(m):
-            for z in range(m):
-                # r12 r23 r12 applied to (x, y, z), innermost first
-                a, b = r(x, y)
-                b, c = r(b, z)
-                a, b = r(a, b)
-                lhs = (a, b, c)
-                d, e = r(y, z)
-                x2, d = r(x, d)
-                d, e2 = r(d, e)
-                rhs = (x2, d, e2)
-                if lhs != rhs:
-                    raise BraidFailed(x, y, z)
+    for z in range(m):
+        # r12 r23 r12 applied to (x, y, z), innermost first
+        a, b = r(x, y)
+        b, c = r(b, z)
+        a, b = r(a, b)
+        lhs = (a, b, c)
+        d, e = r(y, z)
+        x2, d = r(x, d)
+        d, e2 = r(d, e)
+        rhs = (x2, d, e2)
+        if lhs != rhs:
+            raise BraidFailed(x, y, z)
+    raise InternalInvariant("the braid relation failed on rows but the scan found no witness")
 
 
 def flip_solution(m: int) -> Solution:

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,11 @@ class TestSubgroups:
                                    direct_product_group(cyclic(4), cyclic(4))])
     def test_against_brute_force(self, G):
         assert subgroups(G) == brute_force_subgroups(G)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_catalog_against_brute_force(self, n):
+        for entry in groups_of_order(n):
+            assert subgroups(entry.group) == brute_force_subgroups(entry.group), entry.name
 
     def test_bound(self, monkeypatch):
         G = cyclic(5)
@@ -310,6 +316,31 @@ class TestRegularSubgroups:
         assert built == []
 
 
+def pairwise_closure(G, seed):
+    """Reference for FiniteGroup.closure: multiply each new member by every member."""
+    members = {0}
+    members.update(seed)
+    work = list(members)
+    while work:
+        x = work.pop()
+        for y in tuple(members):
+            for z in (G.table[x][y], G.table[y][x]):
+                if z not in members:
+                    members.add(z)
+                    work.append(z)
+    return frozenset(members)
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_closure_matches_the_pairwise_closure(n):
+    rng = random.Random(n)
+    for entry in groups_of_order(n):
+        G = entry.group
+        for size in (0, 1, 1, 2, 2, 3, n):
+            seed = rng.sample(range(n), min(size, n))
+            assert G.closure(seed) == pairwise_closure(G, seed), (entry.name, seed)
+
+
 def greedy_generators(G):
     """Reference for generating_set: re-close the subgroup after each new generator."""
     gens = []
@@ -345,7 +376,19 @@ class TestIsomorphism:
                                  direct_product_group(cyclic(2), cyclic(3))) is not None
 
 
+def simple_by_every_element(G):
+    """Reference for is_simple: the normal closure of every non-identity element."""
+    return G.order > 1 and all(len(groups.normal_closure(G, {g})) == G.order
+                               for g in range(1, G.order))
+
+
 class TestSimplicity:
+    def test_matches_the_per_element_scan(self):
+        catalog = [entry.group for n in range(1, 16) for entry in groups_of_order(n)]
+        for G in [alternating_5(), alternating_group(4)] + catalog:
+            assert is_simple(G) == simple_by_every_element(G), G.name
+
+
     def test_a5_simple(self):
         assert is_simple(alternating_5())
         assert_simple_nonabelian(alternating_5())

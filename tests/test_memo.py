@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from braceforge import braces, ybe
+from braceforge import braces, structure, ybe
 from braceforge.braces import quotient, sub_brace, subbraces, trivial_brace, validate_brace
 from braceforge.catalog import cyclic, symmetric_group
 from braceforge.cli import main
@@ -15,6 +15,7 @@ from braceforge.structure import (
     SeriesWitness,
     all_ideals,
     chief_series,
+    commutator,
     derived_series,
     dossier,
     is_soluble,
@@ -105,6 +106,36 @@ class TestSeriesCosets:
             embed_all(B, series)
             new = [v for k, v in B._cache.items() if k not in before]
             assert new and not any(reaches(v, B) for v in new)
+
+
+class TestCommutator:
+    def test_same_object(self):
+        B = trivial_brace(symmetric_group(3))
+        first = commutator(B, B.carrier(), B.carrier())
+        assert first == frozenset({0, 3, 4})
+        assert commutator(B, frozenset(range(6)), frozenset(B.elements())) is first
+
+    def test_no_cache_value_references_b(self, census8):
+        for B in census8:
+            before = set(B._cache)
+            ideals = all_ideals(B)
+            for I in ideals:
+                for J in ideals:
+                    commutator(B, I, J)
+            new = {k: v for k, v in B._cache.items() if k not in before}
+            assert new and not any(reaches(k, B) or reaches(v, B) for k, v in new.items())
+
+    def test_non_ideal_raises_before_the_lookup(self):
+        B = trivial_brace(cyclic(4))
+        bad, kernel = frozenset({0, 1}), structure._commutator.__wrapped__
+        for _ in range(2):
+            with pytest.raises(NotAnIdeal):
+                commutator(B, bad, B.carrier())
+        assert not any(k[0] is kernel for k in B._cache)
+        # a planted entry is never reached: the ideal check comes first
+        B._cache[(kernel, bad, B.carrier())] = frozenset({0})
+        with pytest.raises(NotAnIdeal):
+            commutator(B, bad, B.carrier())
 
 
 class TestChecksOnEveryCall:
