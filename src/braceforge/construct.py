@@ -202,15 +202,17 @@ def simple_inner_regular_subgroups(G: FiniteGroup) -> list[RegularSubgroup]:
     """Regular subgroups of the inner sub-holomorph of G isomorphic to G.
 
     G must be simple and non-abelian.  For such G these are exactly two:
-    the all-identity assignment and g -> conjugation by g^{-1}.
+    the all-identity assignment and g -> conjugation by g^{-1}.  A subgroup
+    whose element-order histogram, read off its pairs, differs from G's is
+    not isomorphic to G; only the others get a product table, which is
+    Latin-checked and tested by group_isomorphism.
     """
     assert_simple_nonabelian(G)
     target_hist = G.order_histogram()
     out = []
     for H in regular_subgroups(G, "inner"):
-        K = _group_unchecked(H.multiplication_table())
-        if K.order_histogram() != target_hist:
+        if H.order_histogram() != target_hist:
             continue
-        if group_isomorphism(K, G) is not None:
+        if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None:
             out.append(H)
     return out

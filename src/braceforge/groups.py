@@ -102,13 +102,6 @@ def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     return operator.itemgetter(*q)(p)
 
 
-def invert(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def subset_key(s: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Canonical sort key for carrier subsets: size, then sorted members."""
     t = tuple(sorted(s))
@@ -382,13 +375,6 @@ def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def is_automorphism(G: FiniteGroup, perm: Sequence[int]) -> bool:
-    if sorted(perm) != list(G.elements()) or perm[0] != 0:
-        return False
-    return all(perm[G.table[a][b]] == G.table[perm[a]][perm[b]]
-               for a in G.elements() for b in G.elements())
-
-
 def _hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                                images: Sequence[int]) -> Perm | None:
     """Bijective homomorphism G -> H sending gens to images, if one exists."""
@@ -453,6 +439,12 @@ class PermTable:
 
     Used as the automorphism component of a holomorph: `comp[i][j]` is the
     index of perms[i] o perms[j], and index 0 is the identity.
+
+    Only the rows of a greedy generating set are composed and hashed.  The
+    other rows are reached from the identity as a closure is grown (see
+    grow_closure), each as a gather of two known rows: row(s o p) is
+    compose(row(s), row(p)).  If the generators' rows stay inside the list,
+    the list is closed, since every member is a product of generators.
     """
 
     __slots__ = ("perms", "index", "comp", "inv")
@@ -462,8 +454,36 @@ class PermTable:
         if self.perms[0] != identity_perm(len(self.perms[0])):
             raise ValueError("permutation list must contain the identity")
         self.index = {p: i for i, p in enumerate(self.perms)}
-        self.comp = [[self.index[compose(p, q)] for q in self.perms] for p in self.perms]
-        self.inv = [self.index[invert(p)] for p in self.perms]
+        k = len(self.perms)
+        rows: list = [None] * k
+        rows[0] = tuple(range(k))
+        members, seen, gens = [0], [True] + [False] * (k - 1), []
+        for g in range(k):
+            if seen[g]:
+                continue
+            rows[g] = self._composed_row(g)
+            gens.append(g)
+            old = len(members)
+            i = 0
+            while i < len(members):
+                p = members[i]
+                for s in (g,) if i < old else gens:
+                    q = rows[s][p]
+                    if not seen[q]:
+                        seen[q] = True
+                        members.append(q)
+                        if rows[q] is None:
+                            rows[q] = compose(rows[s], rows[p])
+                i += 1
+        self.comp = rows
+        self.inv = [row.index(0) for row in rows]
+
+    def _composed_row(self, i: int) -> tuple[int, ...]:
+        index, p = self.index, self.perms[i]
+        try:
+            return tuple([index[compose(p, q)] for q in self.perms])
+        except KeyError:
+            raise ValueError("permutation list is not closed under composition") from None
 
     def __len__(self) -> int:
         return len(self.perms)
@@ -540,14 +560,44 @@ class RegularSubgroup:
         G = self.group
         return tuple(tuple(map(G.table[g].__getitem__, self.perm(g))) for g in G.elements())
 
+    def order_histogram(self) -> tuple[tuple[int, int], ...]:
+        """FiniteGroup.order_histogram of the product law, read off the pairs.
+
+        The powers of (g, phi_g) are the pairs (x, phi_x) with x <- x . phi_x(g),
+        so no product table is built.
+        """
+        table = self.group.table
+        phis = [self.pool[a] for a in self.assignment]
+        hist: dict[int, int] = {}
+        for g in self.group.elements():
+            x, k = g, 1
+            while x != 0:
+                x = table[x][phis[x][g]]
+                k += 1
+            hist[k] = hist.get(k, 0) + 1
+        return tuple(sorted(hist.items()))
+
 
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
     """Every regular subgroup of the chosen ambient, canonically ordered.
 
-    Backtracking over the map g -> phi_g: the subgroup law forces
-    phi at g.phi_g(h) to equal phi_g o phi_h, so each choice propagates
-    through the generated closure.  Partial closures must stay injective on
-    first coordinates and have size dividing |G|.
+    Backtracking over the map g -> phi_g.  A node is a subgroup K of the
+    ambient that is injective on first coordinates: `assign` holds phi at
+    each first coordinate of K (None elsewhere), `members` lists K and the
+    pairs in `gens` generate it.  The least g outside K is tried with every phi
+    for which the cyclic subgroup <(g, phi)> is injective on first
+    coordinates and of order dividing |G| (found once per g), and each trial
+    closure is grown as grow_closure grows one: every old member times
+    (g, phi) once, then every new member times each generator.  Two pairs on
+    one first coordinate end the trial, which happens exactly when
+    <K, (g, phi)> is not injective on first coordinates; a closure whose
+    size does not divide |G| is cut too.
+
+    Dead nodes are cut before any trial.  The first coordinate of
+    (m, phi_m)(g, phi) is m . phi_m(g) whatever phi is.  If these |K| points
+    are not distinct, every phi fails.  None of them lies in K, since
+    (m, phi_m)^-1 (t, phi_t) has first coordinate g when t = m . phi_m(g); so
+    when they are distinct the first step assigns them with no conflict check.
     """
     pool = pair_pool(G, ambient)
     n = G.order
@@ -555,56 +605,71 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
     perms = pool.perms
     table = G.table
     results: list[tuple[int, ...]] = []
+    assign: list[int | None] = [None] * n
+    assign[0] = 0
+    members: list[int] = [0]
+    gens: list[tuple[int, int]] = []
+    cyclic_choices: dict[int, list[int]] = {}
 
-    def propagate(assign: list[int | None], count: int, fresh: list[int]) -> int:
-        """Close assigned pairs under the product; return new count or -1."""
-        while fresh:
-            k = fresh.pop()
-            ak = assign[k]
-            pk = perms[ak]
-            ck = comp[ak]
-            for a in range(n):
-                ia = assign[a]
-                if ia is None:
-                    continue
-                # (a, phi_a)(k, phi_k)
-                t = table[a][perms[ia][k]]
-                want = comp[ia][ak]
+    def choices(g: int) -> list[int]:
+        """The phi with <(g, phi)> injective on first coordinates and of order dividing n.
+
+        The powers of (g, phi) are the pairs (x, a) with x <- x . perms[a](g)
+        and a <- a o phi: their first coordinates must reach 0 before any
+        repeats, at a = id.
+        """
+        if g not in cyclic_choices:
+            ok = cyclic_choices[g] = []
+            for c in range(len(perms)):
+                x, a, seen = g, c, {0}
+                while x not in seen:
+                    seen.add(x)
+                    x, a = table[x][perms[a][g]], comp[a][c]
+                if x == 0 and a == 0 and n % len(seen) == 0:
+                    ok.append(c)
+        return cyclic_choices[g]
+
+    def grow(i: int) -> bool:
+        """Close members[i:] under right products by every generator; False on a conflict."""
+        while i < len(members):
+            x = members[i]
+            ax = assign[x]
+            px, cx, row = perms[ax], comp[ax], table[x]
+            for s, a in gens:
+                t = row[px[s]]
                 got = assign[t]
                 if got is None:
-                    assign[t] = want
-                    count += 1
-                    fresh.append(t)
-                elif got != want:
-                    return -1
-                # (k, phi_k)(a, phi_a)
-                t = table[k][pk[a]]
-                want = ck[ia]
-                got = assign[t]
-                if got is None:
-                    assign[t] = want
-                    count += 1
-                    fresh.append(t)
-                elif got != want:
-                    return -1
-        return count
+                    assign[t] = cx[a]
+                    members.append(t)
+                elif got != cx[a]:
+                    return False
+            i += 1
+        return True
 
-    def search(assign: list[int | None], count: int) -> None:
-        if count == n:
+    def search() -> None:
+        old = len(members)
+        if old == n:
             results.append(tuple(assign))  # type: ignore[arg-type]
             return
-        g = next(i for i in range(n) if assign[i] is None)
-        for choice in range(len(perms)):
-            trial = assign.copy()
-            trial[g] = choice
-            new_count = propagate(trial, count + 1, [g])
-            if new_count < 0 or n % new_count != 0:
-                continue
-            search(trial, new_count)
+        g = assign.index(None)
+        firsts = [table[m][perms[assign[m]][g]] for m in members]
+        if len(set(firsts)) < old:
+            return
+        rows = [comp[assign[m]] for m in members]
+        gens.append((g, 0))
+        for choice in choices(g):
+            for t, row in zip(firsts, rows):
+                assign[t] = row[choice]
+            members.extend(firsts)
+            gens[-1] = (g, choice)
+            if grow(old) and n % len(members) == 0:
+                search()
+            for i in range(old, len(members)):
+                assign[members[i]] = None
+            del members[old:]
+        gens.pop()
 
-    start: list[int | None] = [None] * n
-    start[0] = 0
-    search(start, 1)
+    search()
     results.sort()
     return [RegularSubgroup(G, perms, r) for r in results]
 

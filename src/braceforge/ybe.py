@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .braces import SkewBrace, quotient, require_ideal, sub_brace
 from .errors import (
+    BoundExceeded,
     BraidFailed,
     Degenerate,
     EmbeddingIncompatible,
@@ -24,6 +25,9 @@ from .errors import (
 )
 from .structure import SeriesWitness, ZERO, abelian_step
 from .groups import compose, memoised, subset_key
+
+# r_closed_subsets stops past this many subsets: above every order-16 flip (2^16 - 1)
+R_CLOSED_MAX_SUBSETS = 100_000
 
 
 @dataclass(frozen=True)
@@ -234,6 +238,10 @@ def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
     emitted when all of `reach` lies in X.  Every prefix of a closed set keeps
     the invariant, so no closed set is lost, and the cost scales with the
     number of subsets that keep it, not with 2^size.
+
+    The flip solution on m points has 2^m - 1 closed subsets, so the output
+    is bounded: BoundExceeded is raised as soon as it passes
+    R_CLOSED_MAX_SUBSETS.
     """
     n = solution.size
     lam, rho = solution.lambda_tab, solution.rho_tab
@@ -261,6 +269,8 @@ def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
             path = members + (i,)
             if not missing:
                 out.append(frozenset(path))
+                if len(out) > R_CLOSED_MAX_SUBSETS:
+                    raise BoundExceeded("r-closed subsets", len(out), R_CLOSED_MAX_SUBSETS)
             stack.append((Xi, grown, i, path))
     return sorted(out, key=subset_key)
 

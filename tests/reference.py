@@ -1,0 +1,94 @@
+"""Slow reference implementations that the tests hold the fast kernels to.
+
+Import as `from reference import ...`: the `pythonpath` setting of pytest in
+pyproject.toml puts this directory on sys.path.
+"""
+
+from braceforge.groups import FiniteGroup, compose, _ambient_perms
+
+
+def invert(p):
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
+
+
+def is_automorphism(G: FiniteGroup, perm) -> bool:
+    if sorted(perm) != list(G.elements()) or perm[0] != 0:
+        return False
+    return all(perm[G.table[a][b]] == G.table[perm[a]][perm[b]]
+               for a in G.elements() for b in G.elements())
+
+
+def brute_comp(perms):
+    """The k x k table of perms[i] o perms[j] indices, every entry composed and hashed."""
+    perms = sorted(perms)
+    index = {p: i for i, p in enumerate(perms)}
+    return [tuple(index[compose(p, q)] for q in perms) for p in perms]
+
+
+def reference_regular_subgroups(G: FiniteGroup, ambient: str = "holomorph"):
+    """Sorted assignments of the regular subgroups, by full-closure propagation.
+
+    Backtracking over the map g -> phi_g: each new pair is multiplied on both
+    sides by every assigned pair, O(|K| n) per step, until the assigned
+    pairs are closed.  Partial closures must stay injective on first
+    coordinates and have size dividing |G|.
+    """
+    perms = sorted(_ambient_perms(G, ambient))
+    comp = brute_comp(perms)
+    n = G.order
+    table = G.table
+    results = []
+
+    def propagate(assign, count, fresh):
+        """Close assigned pairs under the product; return new count or -1."""
+        while fresh:
+            k = fresh.pop()
+            ak = assign[k]
+            pk = perms[ak]
+            ck = comp[ak]
+            for a in range(n):
+                ia = assign[a]
+                if ia is None:
+                    continue
+                # (a, phi_a)(k, phi_k)
+                t = table[a][perms[ia][k]]
+                want = comp[ia][ak]
+                got = assign[t]
+                if got is None:
+                    assign[t] = want
+                    count += 1
+                    fresh.append(t)
+                elif got != want:
+                    return -1
+                # (k, phi_k)(a, phi_a)
+                t = table[k][pk[a]]
+                want = ck[ia]
+                got = assign[t]
+                if got is None:
+                    assign[t] = want
+                    count += 1
+                    fresh.append(t)
+                elif got != want:
+                    return -1
+        return count
+
+    def search(assign, count):
+        if count == n:
+            results.append(tuple(assign))
+            return
+        g = next(i for i in range(n) if assign[i] is None)
+        for choice in range(len(perms)):
+            trial = assign.copy()
+            trial[g] = choice
+            new_count = propagate(trial, count + 1, [g])
+            if new_count < 0 or n % new_count != 0:
+                continue
+            search(trial, new_count)
+
+    start = [None] * n
+    start[0] = 0
+    search(start, 1)
+    return sorted(results)

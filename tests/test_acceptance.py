@@ -14,7 +14,7 @@ from braceforge.construct import (
     oracle_enumerate_braces,
     simple_inner_regular_subgroups,
 )
-from braceforge.groups import group_isomorphism, identity_perm, is_automorphism
+from braceforge.groups import group_isomorphism, identity_perm
 from braceforge.structure import (
     ZERO,
     all_abelian_series,
@@ -35,6 +35,7 @@ from braceforge.ybe import (
     validate_solution,
     verify_multidecomposition,
 )
+from reference import is_automorphism
 
 MAX_ORDER = 8
 SLOW_ORDER = 12

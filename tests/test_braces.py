@@ -26,7 +26,8 @@ from braceforge.braces import (
 )
 from braceforge.catalog import cyclic, direct_product_group, symmetric_group
 from braceforge.errors import BraceAxiomFailed, GroupInvalid, NotAnIdeal
-from braceforge.groups import identity_perm, is_automorphism
+from braceforge.groups import identity_perm
+from reference import is_automorphism
 
 S3 = symmetric_group(3)
 A3 = frozenset(a for a in S3.elements() if S3.element_order(a) in (1, 3))

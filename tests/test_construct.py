@@ -4,7 +4,7 @@ import pytest
 
 from braceforge import construct, groups
 from braceforge.braces import is_isomorphic, validate_brace
-from braceforge.catalog import alternating_group, cyclic, groups_of_order, symmetric_group
+from braceforge.catalog import alternating_5, alternating_group, cyclic, groups_of_order, symmetric_group
 from braceforge.construct import (
     CensusEntry,
     brace_from_regular_subgroup,
@@ -16,10 +16,12 @@ from braceforge.construct import (
 from braceforge.errors import BoundExceeded, InternalInvariant, NotRegular, NotSimple
 from braceforge.groups import (
     RegularSubgroup,
+    _group_unchecked,
     automorphism_group,
     identity_perm,
     regular_subgroups,
 )
+from reference import is_automorphism
 
 # class counts for n <= 6 were produced by oracle_enumerate_braces and are
 # pinned here as regression values; 7 and 8 come from the holomorph route
@@ -62,7 +64,7 @@ class TestBraceFromRegularSubgroup:
         # but phi_1 = (1 2 3) is not additive, so the brace law fails
         G = cyclic(4)
         pool = ((0, 1, 2, 3), (0, 2, 3, 1), (0, 2, 1, 3), (0, 3, 2, 1))
-        assert not all(groups.is_automorphism(G, p) for p in pool)
+        assert not all(is_automorphism(G, p) for p in pool)
         with pytest.raises(NotRegular):
             brace_from_regular_subgroup(G, RegularSubgroup(G, pool, (0, 1, 2, 3)))
 
@@ -227,3 +229,10 @@ class TestSimpleInnerRegularSubgroups:
             simple_inner_regular_subgroups(alternating_group(4))
         with pytest.raises(NotSimple):
             simple_inner_regular_subgroups(cyclic(7))
+
+    def test_order_histogram_read_off_the_pairs(self):
+        # every inner regular subgroup of A5, not only the two the filter keeps
+        subs = regular_subgroups(alternating_5(), "inner")
+        assert len(subs) == 62
+        for H in subs:
+            assert H.order_histogram() == _group_unchecked(H.multiplication_table()).order_histogram()

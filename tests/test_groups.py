@@ -31,6 +31,7 @@ from braceforge.errors import (
     NotSimple,
 )
 from braceforge.groups import (
+    PermTable,
     assert_simple_nonabelian,
     automorphism_group,
     compose,
@@ -38,13 +39,12 @@ from braceforge.groups import (
     holomorph,
     identity_perm,
     inner_automorphisms,
-    invert,
-    is_automorphism,
     is_simple,
     regular_subgroups,
     subgroups,
     validate_group,
 )
+from reference import brute_comp, invert, is_automorphism, reference_regular_subgroups
 
 
 def klein_four():
@@ -314,6 +314,52 @@ class TestRegularSubgroups:
         with pytest.raises(BoundExceeded):
             search(klein_four())
         assert built == []
+
+
+CATALOG = [entry.group for n in range(1, 16) for entry in groups_of_order(n)]
+ORDER_16 = [direct_product_group(cyclic(4), cyclic(4)), direct_product_group(cyclic(8), cyclic(2)),
+            direct_product_group(dihedral(4), cyclic(2)), direct_product_group(dicyclic(2), cyclic(2))]
+
+
+class TestRegularSubgroupsAgainstPropagation:
+    """The generator-grown search returns the full-closure propagation's assignments."""
+
+    @pytest.mark.parametrize("G", CATALOG, ids=lambda G: G.name)
+    def test_catalog_holomorph(self, G):
+        got = [H.assignment for H in regular_subgroups(G)]
+        assert got == reference_regular_subgroups(G)
+
+    def test_a5_inner(self):
+        got = [H.assignment for H in regular_subgroups(alternating_5(), "inner")]
+        assert got == reference_regular_subgroups(alternating_5(), "inner")
+        assert len(got) == 62
+
+    @pytest.mark.parametrize("G", ORDER_16, ids=["C4xC4", "C8xC2", "D4xC2", "Q8xC2"])
+    def test_order_sixteen(self, G):
+        got = [H.assignment for H in regular_subgroups(G)]
+        assert got == reference_regular_subgroups(G)
+
+
+class TestPermTable:
+    @pytest.mark.parametrize("G", CATALOG, ids=lambda G: G.name)
+    def test_gathered_rows_match_composition(self, G):
+        perms = automorphism_group(G)
+        pool = PermTable(perms)
+        assert pool.comp == brute_comp(perms)
+        assert pool.inv == [pool.index[invert(p)] for p in pool.perms]
+
+    def test_a5_inner(self):
+        perms = inner_automorphisms(alternating_5())
+        assert PermTable(perms).comp == brute_comp(perms)
+
+    def test_missing_identity(self):
+        with pytest.raises(ValueError, match="identity"):
+            PermTable([(1, 0)])
+
+    def test_not_closed_under_composition(self):
+        # the identity and one 3-cycle of S3's points: its square is missing
+        with pytest.raises(ValueError, match="not closed under composition"):
+            PermTable([(0, 1, 2), (1, 2, 0)])
 
 
 def pairwise_closure(G, seed):

@@ -1,12 +1,13 @@
 """JSON file formats, load-time relabeling, and the command-line frontend."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braceforge import cli, jsonio, structure
+from braceforge import cli, jsonio, structure, ybe
 from braceforge.braces import almost_trivial_brace, is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
@@ -140,7 +141,33 @@ def test_loader_accepts_any_relabeling(perm):
     assert is_isomorphic(loaded, base) is not None
 
 
+# sha256 of `braceforge enumerate --order n` output: the census bytes for n = 1..15
+CENSUS_SHA256 = {
+    1: "0f24ca627e975a5c7f8f933071242f2a54d10488197fc1f2cc559eb625dd0e75",
+    2: "93b48db0c7cc67901e0729cab42bd18c3a26ca9f0cf4f6214857959bcb2ee73c",
+    3: "c51643c45948e4b92a770ddad8452fb79a0a5aaf2ee854fc039e77678b8fe344",
+    4: "177c5562c8c50a32a39c553028ba81efc12db9c81a42667f0c509315c3b24240",
+    5: "153d2f8b31e717d6b0a43b4e83485fefca1f70e2639de7b5848fbc16f655e7ca",
+    6: "e2b62f93fe37ef17d0916f861b7ce8fde42846c2906f705c97743ffe9427b1aa",
+    7: "c858615708f7470ac37b7bd333c508be86aa6b68d269df563bee93abb1ff8d13",
+    8: "f0caeb728a1b578afa1268feb85414c0bb81c989a60c47bf0e06dc1533b6fed2",
+    9: "b3ee47e64fb69bec052bee2b1fdf05391808be2282103964957556d8de5a2cce",
+    10: "210dbc44431340ecf01403097d29c5b29570c95d3eab4e9c5f6c62a962dad025",
+    11: "f3e059c65567dcc199005efc52f1f0866a2c3605cd71bf42f083c91333901bbe",
+    12: "38203528e83e290709d1233ea3ca9f84dcccacb0f8c7ddefd2e671525d993a3e",
+    13: "b198b6f4c53ddf45b39fddc4b40ccc5f3d3b42f355169552df5caa49849eac7c",
+    14: "cfdf67d68c40673de103b58a17be667619298edcfd98acd23adb10570d327a55",
+    15: "3712ebf3b7b3d46ae5f96bcbbcaf7f2185867e932f71ba40be9c5a5cf87a0b01",
+}
+
+
 class TestCliEnumerate:
+    @pytest.mark.parametrize("n", sorted(CENSUS_SHA256))
+    def test_census_bytes(self, n, capsys):
+        assert main(["enumerate", "--order", str(n)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CENSUS_SHA256[n]
+
     def test_summary_line(self, capsys):
         assert main(["enumerate", "--order", "5"]) == 0
         out = capsys.readouterr()
@@ -336,6 +363,14 @@ class TestCliVerify:
         report = json.loads(out.read_text())
         assert report["max_order"] == 12
         assert report["qualifying_orders"] == [2, 3, 5, 7, 11]
+
+    def test_r_closed_bound_exit_code(self, monkeypatch, tmp_path, capsys):
+        # the trivial brace on C2 x C2 has 15 r-closed subsets
+        monkeypatch.setattr(ybe, "R_CLOSED_MAX_SUBSETS", 14)
+        out = tmp_path / "r.json"
+        assert main(["verify", "D", "--max-order", "4", "--out", str(out)]) == 3
+        assert "r-closed subsets = 15 exceeds" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("max_order", ["0", "-3"])
     def test_max_order_below_one_exit_code(self, max_order, tmp_path, capsys):

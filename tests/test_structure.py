@@ -145,14 +145,29 @@ def test_commutator_matches_the_round_fixpoint(n):
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])
 def test_commutator_kernel_closes_any_seed_to_the_least_ideal(n):
-    # on every census pair of ideals the generators already span an ideal
-    # under + alone; single-element seeds need each image the worklist takes
+    # on every census pair of ideals up to order 15 the generators already span
+    # an ideal under + alone; single-element seeds need each image the worklist takes
     rng = random.Random(n)
     for entry in enumerate_braces(n):
         B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
         for _ in range(8):
             I, J = frozenset({rng.randrange(n)}), frozenset({rng.randrange(n)})
             assert structure._commutator(B, I, J) == fixpoint_commutator(B, I, J)
+
+
+def test_commutator_needs_the_images_on_c4_x_c4():
+    # order 16: [I, I] is bigger than the additive closure of its generators
+    G = direct_product_group(cyclic(4), cyclic(4))
+    B = enumerate_braces(16, extra_groups=[G])[2].brace
+    I = frozenset(range(0, 16, 2))
+    gens = set()
+    for i in I:
+        for j in I:
+            gens.add(B.plus(B.plus(B.plus(B.neg(i), B.neg(j)), i), j))
+            gens.add(B.times(B.times(B.times(B.tinv(i), B.tinv(j)), i), j))
+            gens.add(B.plus(B.times(i, j), B.neg(B.plus(i, j))))
+    assert B.add.closure(gens) == {0, 8}
+    assert commutator(B, I, I) == {0, 2, 8, 10} == fixpoint_commutator(B, I, I)
 
 
 class TestAnnihilatorQuotient:

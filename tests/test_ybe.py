@@ -5,7 +5,9 @@ import pytest
 from braceforge.braces import quotient, sub_brace, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, direct_product_group, symmetric_group
 from braceforge.construct import enumerate_braces
+from braceforge import ybe
 from braceforge.errors import (
+    BoundExceeded,
     BraidFailed,
     Degenerate,
     EmbeddingIncompatible,
@@ -332,6 +334,15 @@ class TestRClosedSubsets:
     def test_matches_scan_on_conjugation(self):
         s = solution_from_brace(trivial_brace(S3))
         assert r_closed_subsets(s) == r_closed_scan(s)
+
+    def test_output_bound(self):
+        # the least flip whose 2^m - 1 closed subsets pass the bound
+        m = ybe.R_CLOSED_MAX_SUBSETS.bit_length()
+        assert (1 << (m - 1)) - 1 <= ybe.R_CLOSED_MAX_SUBSETS < (1 << m) - 1
+        assert ybe.R_CLOSED_MAX_SUBSETS >= (1 << 16) - 1  # an order-16 flip still runs
+        with pytest.raises(BoundExceeded) as info:
+            r_closed_subsets(flip_solution(m))
+        assert info.value.actual == ybe.R_CLOSED_MAX_SUBSETS + 1
 
 
 class TestExhaustiveCrossChecks:
