@@ -8,6 +8,7 @@ materialized lambda table lam[a][b] = -a + a*b.  All higher-level notions
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -25,7 +26,6 @@ from .groups import (
     check_bound,
     compose,
     enumeration_bound,
-    generating_set,
     identity_perm,
     memoised,
     subgroups,
@@ -118,8 +118,9 @@ def validate_brace(add_table: Sequence[Sequence[int]],
     lambda_a(b + c) = lambda_a(b) + lambda_a(c) for all c are closed under +;
     the a whose lambda_a is additive are closed under the product, because
     for them lambda_a lambda_b = lambda_ab.  So the row c -> lambda_a(b + c)
-    is compared with c -> lambda_a(b) + lambda_a(c) only for a in the
-    generating_set of mul and b in that of add.  When a row differs, the
+    is compared with c -> lambda_a(b) + lambda_a(c) only for a among
+    mul.generators() and b among add.generators(), which validate_group
+    has already computed and memoised.  When a row differs, the
     lexicographic scan over all triples names the first witness, so a
     rejection reports the same BraceAxiomFailed as a full scan.
     """
@@ -134,17 +135,17 @@ def validate_brace(add_table: Sequence[Sequence[int]],
     if add.order != mul.order:
         raise GroupInvalid("mul", NoOrderMatch(add.order, mul.order))
     lam = _lambda_table(add, mul)
-    if not _lambda_additive(add.table, mul.table, lam):
+    if not _lambda_additive(add, mul, lam):
         _brace_law_scan(add, mul)
         raise InternalInvariant("the brace law failed on generators but the scan found no witness")
     return SkewBrace(add, mul, lam)
 
 
-def _lambda_additive(at: tuple[tuple[int, ...], ...], mt: tuple[tuple[int, ...], ...],
+def _lambda_additive(add: FiniteGroup, mul: FiniteGroup,
                      lam: tuple[tuple[int, ...], ...]) -> bool:
     """lambda_a(b + .) == lambda_a(b) + lambda_a(.) as rows, for every pair of generators."""
-    add_gens = generating_set(at)
-    for a in generating_set(mt):
+    at, add_gens = add.table, add.generators()
+    for a in mul.generators():
         la = lam[a]
         if any(compose(la, at[b]) != compose(at[la[b]], la) for b in add_gens):
             return False
@@ -222,38 +223,76 @@ def socle(B: SkewBrace) -> frozenset[int]:
     return out
 
 
+@memoised
 def annihilator(B: SkewBrace) -> frozenset[int]:
-    """Elements a with a+b = b+a = ab = ba for all b; an ideal."""
+    """Elements a with a+b = b+a = ab = ba for all b; an ideal; memoised on B."""
     out = socle(B) & fix_set(B)
     if not classify_subset(B, out).ideal:
         raise InternalInvariant("annihilator is not an ideal")
     return out
 
 
-def _is_additive_subgroup(B: SkewBrace, S: frozenset[int]) -> bool:
-    if 0 not in S:
-        return False
-    return all(B.plus(a, b) in S for a in S for b in S) \
-        and all(B.neg(a) in S for a in S)
-
-
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
-    """Decide subbrace / left ideal / ideal by definition-level scans."""
+    """Decide subbrace / left ideal / ideal on whole rows; memoised on B.
+
+    Raises ValueError when a member of S is not an element 0..order-1 of B.
+    """
     return _classify(B, frozenset(S))
 
 
 @memoised
 def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
-    additive = _is_additive_subgroup(B, key)
-    subbrace = additive and all(B.times(a, b) in key for a in key for b in key) \
-        and all(B.tinv(a) in key for a in key)
-    left_ideal = additive and all(B.lam[b][a] in key
-                                  for b in B.elements() for a in key)
-    ideal = left_ideal \
-        and all(B.plus(B.plus(b, a), B.neg(b)) in key
-                for b in B.elements() for a in key) \
-        and all(star(B, a, b) in key for a in key for b in B.elements())
-    return SubsetFlags(subbrace, left_ideal, ideal)
+    """The flags of key, each closure condition decided by one gather per row.
+
+    In a finite group a subset closed under the operation and holding the
+    identity is a subgroup, so no inverses are scanned.  lambda_b lambda_c =
+    lambda_bc and conjugation by b + c is conjugation by b after c, so
+    lambda_b(S) <= S and b + S - b = S are checked only for b among the
+    multiplicative and additive generators.  A left ideal is a subbrace,
+    since ab = a + lambda_a(b).  In a normal S, a * b = lambda_a(b) - b lies
+    in S exactly when lambda_a(b) lies in the coset b + S, so the star
+    condition compares the coset labels of lambda_a's row with the labels.
+    """
+    n = B.order
+    for a in key:
+        if not isinstance(a, int) or not 0 <= a < n:
+            raise ValueError(f"subset member {a!r} is not an element 0..{n - 1} of the brace")
+    if 0 not in key:
+        return SubsetFlags(False, False, False)
+    if len(key) == 1:
+        return SubsetFlags(True, True, True)
+    at, ai, lam = B.add.table, B.add.inverse, B.lam
+    pick = operator.itemgetter(*key)
+    if not all(key.issuperset(pick(at[a])) for a in key):
+        return SubsetFlags(False, False, False)
+    if not all(key.issuperset(pick(lam[b])) for b in B.mul.generators()):
+        mt = B.mul.table
+        return SubsetFlags(all(key.issuperset(pick(mt[a])) for a in key), False, False)
+    # b + S == S + b, with S + b = -(-b + S) read off rows since S = -S
+    if not all(frozenset(pick(at[b])) == frozenset(map(ai.__getitem__, pick(at[ai[b]])))
+               for b in B.add.generators()):
+        return SubsetFlags(True, True, False)
+    labels, _ = _left_cosets(at, pick)
+    return SubsetFlags(True, True, all(compose(labels, lam[a]) == labels for a in key))
+
+
+def _left_cosets(at: tuple[tuple[int, ...], ...],
+                 pick: operator.itemgetter) -> tuple[tuple[int, ...], list[int]]:
+    """Label the left cosets a + S of an additive subgroup S by order of their least elements.
+
+    pick gathers S's members from a row.  Walking a upwards, the first
+    element not yet labelled is the least of its coset, and the coset is
+    its row gathered at S.  Returns the labels and the least elements.
+    """
+    labels = [-1] * len(at)
+    reps: list[int] = []
+    for a, row in enumerate(at):
+        if labels[a] < 0:
+            k = len(reps)
+            reps.append(a)
+            for x in pick(row):
+                labels[x] = k
+    return tuple(labels), reps
 
 
 def require_ideal(B: SkewBrace, *subsets: frozenset[int]) -> None:
@@ -298,9 +337,11 @@ def sub_brace(B: SkewBrace, S: Iterable[int]) -> SubBrace:
 @memoised
 def _sub_brace(B: SkewBrace, key: frozenset[int]) -> SubBrace:
     members = sorted(key)
-    pos = {g: i for i, g in enumerate(members)}
-    add = [[pos[B.plus(a, b)] for b in members] for a in members]
-    mul = [[pos[B.times(a, b)] for b in members] for a in members]
+    pos = [0] * B.order
+    for i, g in enumerate(members):
+        pos[g] = i
+    add = [compose(pos, compose(B.add.table[a], members)) for a in members]
+    mul = [compose(pos, compose(B.mul.table[a], members)) for a in members]
     return SubBrace(validate_brace(add, mul), tuple(members))
 
 
@@ -334,17 +375,10 @@ def quotient(B: SkewBrace, I: Iterable[int]) -> Quotient:
 
 @memoised
 def _quotient(B: SkewBrace, ideal: frozenset[int]) -> Quotient:
-    coset_of: dict[int, frozenset[int]] = {}
-    for a in B.elements():
-        if a not in coset_of:
-            coset = frozenset(B.plus(a, i) for i in ideal)
-            for x in coset:
-                coset_of[x] = coset
-    reps = sorted({min(c) for c in coset_of.values()})
-    index = {r: k for k, r in enumerate(reps)}
-    projection = tuple(index[min(coset_of[a])] for a in B.elements())
-    add = [[projection[B.plus(a, b)] for b in reps] for a in reps]
-    mul = [[projection[B.times(a, b)] for b in reps] for a in reps]
+    """Cosets labelled by _left_cosets; each table row is one rep's row gathered at the reps."""
+    projection, reps = _left_cosets(B.add.table, operator.itemgetter(*ideal))
+    add = [compose(projection, compose(B.add.table[a], reps)) for a in reps]
+    mul = [compose(projection, compose(B.mul.table[a], reps)) for a in reps]
     return Quotient(validate_brace(add, mul), projection, tuple(reps))
 
 

@@ -66,21 +66,25 @@ def check_bound(what: str, actual: int, limit: int) -> None:
         raise BoundExceeded(what, actual, limit)
 
 
+_MISSING = object()
+
+
 def memoised(fn: Callable) -> Callable:
     """Memoise fn(obj, *args) on obj._cache: the package's one cache policy.
 
     Objects are immutable and args hashable (subsets as frozensets); errors are
-    never cached.  Callers run argument and bound checks before the lookup.
+    never cached.  Callers run bound checks, and argument checks that a
+    cached key would not prove, before the lookup; a check that fn raises on
+    needs no repeat on a hit, since its key never enters the cache.
     """
     @functools.wraps(fn)
     def wrapper(obj, *args):
         key = (fn, *args)
         cache = obj._cache
-        try:
-            return cache[key]
-        except KeyError:
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
             value = cache[key] = fn(obj, *args)
-            return value
+        return value
 
     return wrapper
 
@@ -162,6 +166,11 @@ class FiniteGroup:
         for k in self._orders():
             hist[k] = hist.get(k, 0) + 1
         return tuple(sorted(hist.items()))
+
+    @memoised
+    def generators(self) -> tuple[int, ...]:
+        """generating_set of the table, computed once per group."""
+        return generating_set(self.table)
 
     @property
     @memoised
@@ -268,32 +277,32 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -
     Checks run in the order: closure/Latin square, identity at 0,
     associativity (for order <= enumeration_bound()), inverses.
 
-    Associativity is proven by Light's test on generating_set(table): the
+    Associativity is proven by Light's test on the group's generators(): the
     elements g with (xg)y = x(gy) for all x, y are closed under the product,
     so it is enough that row(xg) == compose(row(x), row(g)) for every x and
     every generator g, |S| n row compares in all.  When the test fails, the
     lexicographic scan over all triples names the first witness, so a
-    rejection reports the same NotAssociative as a full scan.
+    rejection reports the same NotAssociative as a full scan.  The group is
+    built before the test, so the generators it computes stay memoised on
+    the group that is returned.
     """
     _check_latin_with_identity(table)
     n = len(table)
     check_bound("group order (associativity scan)", n, enumeration_bound())
     rows = tuple(tuple(row) for row in table)
-    if not _light_associative(rows):
+    G = FiniteGroup(rows, tuple([row.index(0) for row in rows]), name)
+    if not _light_associative(rows, G.generators()):
         _assoc_scan(rows)
         raise InternalInvariant("Light's associativity test rejected a table the scan accepts")
-    inverse = [0] * n
-    for a in range(n):
-        b = rows[a].index(0)
+    for a, b in enumerate(G.inverse):
         if rows[b][a] != 0:
             raise NoInverse(a)
-        inverse[a] = b
-    return FiniteGroup(rows, tuple(inverse), name)
+    return G
 
 
-def _light_associative(rows: tuple[tuple[int, ...], ...]) -> bool:
+def _light_associative(rows: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> bool:
     """Light's test: row(xg) == row(x) . row(g) for every x and every generator g."""
-    for g in generating_set(rows):
+    for g in gens:
         rg = rows[g]
         if any(rows[row[g]] != compose(row, rg) for row in rows):
             return False
@@ -328,9 +337,10 @@ def _group_unchecked(table: Sequence[Sequence[int]], name: str | None = None) ->
 def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     """All subgroups of G, canonically ordered (size, then sorted members).
 
-    Enumerated by closing H u {g} for every known subgroup H and g outside it;
-    every subgroup arises this way from the trivial one.  Since <H, hg> =
-    <H, g>, one g per right coset Hg is closed.
+    Enumerated as <H, g> for every known subgroup H and g outside it; every
+    subgroup arises this way from the trivial one.  Since <H, hg> = <H, g>,
+    one g per right coset Hg is tried, and <H, g> is grown from H's members
+    and generators by grow_closure rather than closed from scratch.
     """
     check_bound("group order", G.order, enumeration_bound())
     return list(_subgroups(G))
@@ -340,20 +350,23 @@ def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
 def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     table = G.table
     base = frozenset({0})
-    seen = {base}
-    frontier = [base]
+    found = {base}
+    frontier = [([0], [True] + [False] * (G.order - 1), [])]
     while frontier:
-        H = frontier.pop()
-        covered = set(H)  # the union of the right cosets already closed
+        members, seen, gens = frontier.pop()
+        covered = seen.copy()  # the union of the right cosets already tried
         for g in G.elements():
-            if g in covered:
+            if covered[g]:
                 continue
-            covered.update(table[h][g] for h in H)
-            K = G.closure(H | {g})
-            if K not in seen:
-                seen.add(K)
-                frontier.append(K)
-    return sorted(seen, key=subset_key)
+            for h in members:
+                covered[table[h][g]] = True
+            grown, grown_seen, grown_gens = members.copy(), seen.copy(), gens.copy()
+            grow_closure(table, grown, grown_seen, grown_gens, g)
+            K = frozenset(grown)
+            if K not in found:
+                found.add(K)
+                frontier.append((grown, grown_seen, grown_gens))
+    return sorted(found, key=subset_key)
 
 
 def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -405,10 +418,10 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
                   sig_H: Sequence) -> Iterator[Perm]:
     """Every isomorphism G -> H that preserves the element signatures sig_G, sig_H.
 
-    Tries each image of generating_set(G) among the elements of H with the
+    Tries each image of G.generators() among the elements of H with the
     generator's signature, in lexicographic order of the image tuple.
     """
-    gens = generating_set(G.table)
+    gens = G.generators()
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
     for images in itertools.product(*candidates):
         f = _hom_from_generator_images(G, H, gens, images)

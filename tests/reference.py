@@ -4,6 +4,7 @@ Import as `from reference import ...`: the `pythonpath` setting of pytest in
 pyproject.toml puts this directory on sys.path.
 """
 
+from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_brace
 from braceforge.groups import FiniteGroup, compose, _ambient_perms
 
 
@@ -92,3 +93,34 @@ def reference_regular_subgroups(G: FiniteGroup, ambient: str = "holomorph"):
     start[0] = 0
     search(start, 1)
     return sorted(results)
+
+
+def reference_classify(B: SkewBrace, key: frozenset) -> SubsetFlags:
+    """Subbrace / left ideal / ideal flags by definition-level scans over every pair."""
+    additive = 0 in key and all(B.plus(a, b) in key for a in key for b in key) \
+        and all(B.neg(a) in key for a in key)
+    subbrace = additive and all(B.times(a, b) in key for a in key for b in key) \
+        and all(B.tinv(a) in key for a in key)
+    left_ideal = additive and all(B.lam[b][a] in key
+                                  for b in B.elements() for a in key)
+    ideal = left_ideal \
+        and all(B.plus(B.plus(b, a), B.neg(b)) in key
+                for b in B.elements() for a in key) \
+        and all(star(B, a, b) in key for a in key for b in B.elements())
+    return SubsetFlags(subbrace, left_ideal, ideal)
+
+
+def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:
+    """B modulo an ideal, with a frozenset per coset and a min per element."""
+    coset_of = {}
+    for a in B.elements():
+        if a not in coset_of:
+            coset = frozenset(B.plus(a, i) for i in ideal)
+            for x in coset:
+                coset_of[x] = coset
+    reps = sorted({min(c) for c in coset_of.values()})
+    index = {r: k for k, r in enumerate(reps)}
+    projection = tuple(index[min(coset_of[a])] for a in B.elements())
+    add = [[projection[B.plus(a, b)] for b in reps] for a in reps]
+    mul = [[projection[B.times(a, b)] for b in reps] for a in reps]
+    return Quotient(validate_brace(add, mul), projection, tuple(reps))

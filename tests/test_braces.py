@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from braceforge import braces
 from braceforge.braces import (
     SubsetFlags,
     almost_trivial_brace,
@@ -25,9 +26,11 @@ from braceforge.braces import (
     validate_brace,
 )
 from braceforge.catalog import cyclic, direct_product_group, symmetric_group
+from braceforge.construct import enumerate_braces
 from braceforge.errors import BraceAxiomFailed, GroupInvalid, NotAnIdeal
-from braceforge.groups import identity_perm
-from reference import is_automorphism
+from braceforge.groups import identity_perm, subgroups
+from braceforge.structure import all_ideals
+from reference import is_automorphism, reference_classify, reference_quotient
 
 S3 = symmetric_group(3)
 A3 = frozenset(a for a in S3.elements() if S3.element_order(a) in (1, 3))
@@ -165,20 +168,6 @@ class TestDistinguishedSets:
         assert socle(almost_trivial_brace(S3)) == frozenset({0})
 
 
-def classify_by_definition(B, S):
-    """Independent re-statement of the subbrace / left ideal / ideal scans."""
-    S = frozenset(S)
-    add_sub = 0 in S and all(B.plus(a, b) in S for a in S for b in S) \
-        and all(B.neg(a) in S for a in S)
-    sub = add_sub and all(B.times(a, b) in S for a in S for b in S) \
-        and all(B.tinv(a) in S for a in S)
-    left = add_sub and all(B.lam[b][a] in S for a in S for b in B.elements())
-    add_normal = all(B.plus(B.plus(b, a), B.neg(b)) in S
-                     for a in S for b in B.elements())
-    absorbs = all(star(B, a, b) in S for a in S for b in B.elements())
-    return SubsetFlags(sub, left, left and add_normal and absorbs)
-
-
 class TestClassifySubset:
     def test_extremes_are_ideals(self):
         B = almost_trivial_brace(S3)
@@ -197,7 +186,7 @@ class TestClassifySubset:
             S = frozenset(i for i in range(B.order) if bits >> i & 1)
             if not S:
                 continue
-            assert classify_subset(B, S) == classify_by_definition(B, S)
+            assert classify_subset(B, S) == reference_classify(B, S)
 
     def test_ideal_implies_multiplicative_normality(self):
         # equivalent formulation of the ideal condition
@@ -208,6 +197,61 @@ class TestClassifySubset:
                     continue
                 assert all(B.times(B.times(b, a), B.tinv(b)) in S
                            for a in S for b in B.elements())
+
+
+def census(max_order):
+    return [e.brace for n in range(1, max_order + 1) for e in enumerate_braces(n)]
+
+
+def row_classify(B, S):
+    """The whole-row kernel itself, bypassing the memo."""
+    return braces._classify.__wrapped__(B, frozenset(S))
+
+
+class TestClassifyAgainstReference:
+    def test_every_subset_up_to_order_8(self):
+        for B in census(8):
+            for bits in range(1 << B.order):
+                S = frozenset(i for i in range(B.order) if bits >> i & 1)
+                assert row_classify(B, S) == reference_classify(B, S), (B, sorted(S))
+
+    def test_every_additive_subgroup_up_to_order_15(self):
+        kinds = set()
+        for B in census(15):
+            for S in subgroups(B.add):
+                flags = row_classify(B, S)
+                assert flags == reference_classify(B, S), (B, sorted(S))
+                kinds.add(flags)
+        # subgroups that are no subbrace, subbraces that are no left ideal,
+        # left ideals that are no ideal, and ideals all occur
+        assert len(kinds) == 4
+
+    def test_quotients_and_subbraces_up_to_order_15(self):
+        for B in census(15):
+            derived = [quotient(B, I).brace for I in all_ideals(B)]
+            derived += [sub_brace(B, T).brace for T in subbraces(B)]
+            for D in derived:
+                for S in subgroups(D.add):
+                    assert row_classify(D, S) == reference_classify(D, S), (B, D, sorted(S))
+
+
+class TestSubsetLabels:
+    # -2 would alias element 2 by negative indexing, 4 is past the end
+    @pytest.mark.parametrize("S, bad", [({0, 2, -2}, "-2"), ({0, 4}, "4"), ({0, "1"}, "'1'")])
+    def test_rejected_on_every_call(self, S, bad):
+        B = klein_brace()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"member {bad} is not an element 0..3"):
+                classify_subset(B, S)
+        assert not any(k[0] is braces._classify.__wrapped__ for k in B._cache)
+
+    @pytest.mark.parametrize("S", [{0, 2, -2}, {0, 4}])
+    def test_quotient_and_sub_brace_reject(self, S):
+        B = klein_brace()
+        with pytest.raises(ValueError, match="is not an element 0..3"):
+            quotient(B, S)
+        with pytest.raises(ValueError, match="is not an element 0..3"):
+            sub_brace(B, S)
 
 
 class TestQuotient:
@@ -226,6 +270,17 @@ class TestQuotient:
         assert q.brace == trivial_brace(cyclic(2))
         assert q.representatives == (0, 1)
         assert q.projection == (0, 1, 0, 1)
+
+    def test_every_ideal_up_to_order_15_against_reference(self):
+        for B in census(15):
+            for I in all_ideals(B):
+                if len(I) == 1:
+                    continue
+                got, want = braces._quotient.__wrapped__(B, I), reference_quotient(B, I)
+                assert got.projection == want.projection
+                assert got.representatives == want.representatives
+                assert got.brace.add.table == want.brace.add.table
+                assert got.brace.mul.table == want.brace.mul.table
 
     def test_rejects_non_ideal(self):
         B = almost_trivial_brace(S3)

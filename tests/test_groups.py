@@ -133,7 +133,7 @@ class TestSubgroups:
     def test_against_brute_force(self, G):
         assert subgroups(G) == brute_force_subgroups(G)
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", range(1, 16))
     def test_catalog_against_brute_force(self, n):
         for entry in groups_of_order(n):
             assert subgroups(entry.group) == brute_force_subgroups(entry.group), entry.name

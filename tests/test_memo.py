@@ -2,15 +2,24 @@
 
 import gc
 import json
+import sys
 
 import pytest
 
-from braceforge import braces, structure, ybe
-from braceforge.braces import quotient, sub_brace, subbraces, trivial_brace, validate_brace
+from braceforge import braces, groups, structure, ybe
+from braceforge.braces import (
+    annihilator,
+    quotient,
+    sub_brace,
+    subbraces,
+    trivial_brace,
+    validate_brace,
+)
 from braceforge.catalog import cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
 from braceforge.errors import BoundExceeded, NotAnIdeal, SeriesInvalid
+from braceforge.groups import FiniteGroup, validate_group
 from braceforge.structure import (
     SeriesWitness,
     all_ideals,
@@ -136,6 +145,72 @@ class TestCommutator:
         B._cache[(kernel, bad, B.carrier())] = frozenset({0})
         with pytest.raises(NotAnIdeal):
             commutator(B, bad, B.carrier())
+
+
+class TestAnnihilatorAndGenerators:
+    def test_same_object(self):
+        B = validate_brace(symmetric_group(3).table, symmetric_group(3).table)
+        assert annihilator(B) is annihilator(B)
+        G = validate_group(symmetric_group(3).table)
+        assert G.generators() is G.generators() == groups.generating_set(G.table)
+
+    def test_no_cache_value_references_its_owner(self, census8):
+        for B in census8:
+            fresh = validate_brace(B.add.table, B.mul.table)
+            for G in (fresh.add, fresh.mul):
+                assert G._cache and not any(reaches(v, G) for v in G._cache.values())
+            before = set(fresh._cache)
+            annihilator(fresh)
+            new = [v for k, v in fresh._cache.items() if k not in before]
+            assert new and not any(reaches(v, fresh) for v in new)
+
+    def test_annihilator_errors_are_not_cached(self, monkeypatch):
+        B = trivial_brace(cyclic(4))
+
+        def failing(B):
+            raise RuntimeError("socle failed")
+
+        monkeypatch.setattr(braces, "socle", failing)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                annihilator(B)
+        assert not any(k[0] is annihilator.__wrapped__ for k in B._cache)
+        monkeypatch.undo()
+        assert annihilator(B) == B.carrier()
+
+    def test_generators_errors_are_not_cached(self, monkeypatch):
+        G = FiniteGroup(cyclic(4).table, cyclic(4).inverse)
+
+        def failing(table):
+            raise RuntimeError("generating_set failed")
+
+        monkeypatch.setattr(groups, "generating_set", failing)
+        for _ in range(2):
+            with pytest.raises(RuntimeError):
+                G.generators()
+        assert not G._cache
+        monkeypatch.undo()
+        assert G.generators() == (1,)
+
+
+def test_validate_brace_computes_each_generating_set_once(census8):
+    # a profile hook sees every call of the function, under whatever name a
+    # module imported it
+    code, calls = groups.generating_set.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_locals["table"])
+
+    for B in census8:
+        calls.clear()
+        sys.setprofile(profile)
+        try:
+            validate_brace(B.add.table, B.mul.table)
+        finally:
+            sys.setprofile(None)
+        # Light's test on each table computes it; the brace law reads both
+        assert calls == [B.add.table, B.mul.table]
 
 
 class TestChecksOnEveryCall:
