@@ -3,11 +3,16 @@
 A solution on m points is the pair of index tables of
 r(x, y) = (lambda_x(y), rho_y(x)); the braid relation and non-degeneracy are
 checked exhaustively.  Decomposition witnesses are nested chains of subsets
-with coset partitions, re-verified block by block before they are returned.
+with coset partitions.  The block swaps of a series' cosets are checked once
+per (brace, series) on the whole carrier; every r-closed subset inherits
+them by the restriction lemma, so each subset's witness checks only its own
+r-closure, intertwining and structure.  `verify_multidecomposition`
+re-checks every clause of any witness.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -268,11 +273,15 @@ def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
                 continue
             path = members + (i,)
             if not missing:
-                out.append(frozenset(path))
+                out.append(path)
                 if len(out) > R_CLOSED_MAX_SUBSETS:
                     raise BoundExceeded("r-closed subsets", len(out), R_CLOSED_MAX_SUBSETS)
             stack.append((Xi, grown, i, path))
-    return sorted(out, key=subset_key)
+    # each path lists its members in order, so sorting by members and then,
+    # stably, by size gives subset_key order without re-sorting any subset
+    out.sort()
+    out.sort(key=len)
+    return [frozenset(path) for path in out]
 
 
 def find_decomposition(solution: Solution) -> Partition | None:
@@ -306,7 +315,9 @@ def coset_partition(B: SkewBrace, I: Iterable[int], within: Iterable[int] | None
     """Left multiplicative cosets of the ideal I inside the subbrace `within`.
 
     For an ideal these agree with the additive cosets; the equality is
-    asserted rather than assumed.  Uniform by Lagrange.  A non-ideal raises
+    asserted rather than assumed, once per coset.  Walking b upwards, the
+    first element not yet placed is the least of its coset, and each coset is
+    built from its rows once.  Uniform by Lagrange.  A non-ideal raises
     NotAnIdeal, whose message names I by its labels inside the subbrace
     `within` (the positions of its elements in sorted order), not by the
     labels of B.
@@ -315,14 +326,18 @@ def coset_partition(B: SkewBrace, I: Iterable[int], within: Iterable[int] | None
     ideal = frozenset(I)
     sb = sub_brace(B, scope)
     require_ideal(sb.brace, sb.to_local(ideal))
-    blocks = {}
-    for b in scope:
-        left = frozenset(B.times(b, i) for i in ideal)
-        added = frozenset(B.plus(b, i) for i in ideal)
-        if left != added:
+    members = sorted(ideal)
+    blocks = []
+    placed: set[int] = set()
+    for b in sorted(scope):
+        if b in placed:
+            continue
+        left = frozenset(map(B.mul.table[b].__getitem__, members))
+        if left != frozenset(map(B.add.table[b].__getitem__, members)):
             raise InternalInvariant("multiplicative and additive cosets differ")
-        blocks[min(left)] = left
-    partition = make_partition(blocks.values())
+        placed |= left
+        blocks.append(left)
+    partition = make_partition(blocks)
     if not partition.uniform:
         raise InternalInvariant("coset partition is not uniform")
     return partition
@@ -381,8 +396,15 @@ def verify_multidecomposition(solution: Solution,
 
 
 @memoised
-def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[Partition, ...]:
-    """The checked abelian series as its steps: member i cut into cosets of member i + 1."""
+def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[tuple[int, ...], ...]:
+    """The checked abelian series as its steps, each cut into coset labels.
+
+    Step j labels each element of member j with the index of its coset of
+    member j + 1 (blocks in subset_key order), and every element outside
+    member j with -1.  Each step's cosets are checked here, once, to
+    block-swap for the brace solution; InternalInvariant names the step and
+    the first failing pair otherwise.
+    """
     if series.kind != "abelian":
         raise SeriesInvalid(f"expected an abelian series, got {series.kind!r}")
     chain = series.chain
@@ -394,16 +416,29 @@ def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[Partition, ...]
         problem = abelian_step(B, chain[i], chain[i + 1])
         if problem:
             raise SeriesInvalid(f"member {i + 1} {problem} member {i}")
-    return tuple(coset_partition(B, chain[i + 1], within=chain[i])
-                 for i in range(len(chain) - 1))
+    solution = solution_from_brace(B)
+    steps = []
+    for j in range(len(chain) - 1):
+        cosets = coset_partition(B, chain[j + 1], within=chain[j])
+        ok, failure = _blocks_swap_ok(solution, cosets.blocks)
+        if not ok:
+            raise InternalInvariant(
+                f"step {j}: the cosets of member {j + 1} in member {j} do not "
+                f"block-swap (blocks, x, y) = {failure}")
+        labels = [-1] * B.order
+        for k, block in enumerate(cosets.blocks):
+            for e in block:
+                labels[e] = k
+        steps.append(tuple(labels))
+    return tuple(steps)
 
 
 def multidecomposition_from_series(B: SkewBrace, series: SeriesWitness) -> MultidecompositionWitness:
     """Uniform multidecomposition of the brace solution along an abelian series.
 
     The embedded witness of the whole carrier under the identity map: level k
-    partitions the series member I_k into the cosets of I_{k+1}, and the
-    witness is fully re-verified before it is returned.
+    partitions the series member I_k into the cosets of I_{k+1}, whose block
+    swaps are checked once per (B, series) by `_series_cosets`.
     """
     witness = embedded_multidecomposition(solution_from_brace(B), B.carrier(), B,
                                           range(B.order), series)
@@ -435,54 +470,91 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
                                 series: SeriesWitness) -> MultidecompositionWitness:
     """Multidecomposition of an r-closed subset X embedded in a soluble brace.
 
-    The embedding must be injective and intertwine r with the brace solution
-    on images, and X must meet the last non-zero series member.  Levels follow
-    the series through the embedding: X_j collects the points landing in I_j,
+    The embedding must be injective, give every point of X an int image in
+    the brace carrier, and intertwine r with the brace solution on images,
+    and X must meet the last non-zero series member.  Levels follow the
+    series through the embedding: X_j collects the points landing in I_j,
     partitioned by coset intersections with empty blocks dropped.  The result
-    need not be uniform.  The series is checked and cut into cosets once per
-    (B, series); each X pulls them back and re-verifies its own witness.
+    need not be uniform.
+
+    The block swaps follow from the restriction lemma.  `_series_cosets`
+    checks once per (B, series) that the cosets C of I_{j+1} in I_j
+    block-swap for the brace solution.  For r-closed X, each level X_j is
+    r-closed (ideals are), and r(X_a x X_b) lies in (C_b x C_a) intersected
+    with X_j x X_j, that is in X_b x X_a.  So per X only r-closure and the
+    intertwining are checked: pair by pair through the embedding, or, when
+    the solution has the brace solution's tables and the embedding is the
+    identity on X, r-closure alone, on rows.  The witness's structural
+    clauses are checked before it is returned; `verify_multidecomposition`
+    re-checks every clause, block swaps included, for callers that want it.
     """
     points = frozenset(X)
     if not points or not points <= solution.ground():
         raise EmbeddingIncompatible("X must be a non-empty subset of the ground set")
-    emap = {x: embed[x] for x in points}
+    members = sorted(points)
+    emap = {}
+    for x in members:
+        try:
+            image = embed[x]
+        except (IndexError, KeyError):
+            raise EmbeddingIncompatible(f"embedding has no image for point {x}", x) from None
+        # True and 2.0 compare equal to ints but are not brace elements
+        if type(image) is not int:
+            raise EmbeddingIncompatible(f"image {image!r} of point {x} is not an int", x)
+        emap[x] = image
     if len(set(emap.values())) != len(points):
         raise EmbeddingIncompatible("embedding is not injective")
     if not set(emap.values()) <= set(B.elements()):
         raise EmbeddingIncompatible("embedding leaves the brace carrier")
     brace_solution = solution_from_brace(B)
-    for x in points:
-        for y in points:
-            u, v = solution.r(x, y)
-            if u not in points or v not in points:
-                raise EmbeddingIncompatible("X is not r-closed", (x, y))
-            if brace_solution.r(emap[x], emap[y]) != (emap[u], emap[v]):
-                raise EmbeddingIncompatible(
-                    "solution and brace solution disagree on images", (x, y))
+    lam, rho = solution.lambda_tab, solution.rho_tab
+    if solution == brace_solution and list(emap.values()) == members:  # identity on X
+        # r intertwines with itself, so only closure is left: the outputs of
+        # r on X x X are the rows of lam and rho at members, gathered at members
+        pick = (operator.itemgetter(*members) if len(members) > 1
+                else lambda row: (row[members[0]],))
+        outputs = itertools.chain.from_iterable(map(pick, pick(lam) + pick(rho)))
+        if not points.issuperset(outputs):
+            pair = next((x, y) for x in members for y in members
+                        if lam[x][y] not in points or rho[y][x] not in points)
+            raise EmbeddingIncompatible("X is not r-closed", pair)
+    else:
+        for x in members:
+            for y in members:
+                u, v = lam[x][y], rho[y][x]
+                if u not in points or v not in points:
+                    raise EmbeddingIncompatible("X is not r-closed", (x, y))
+                if brace_solution.r(emap[x], emap[y]) != (emap[u], emap[v]):
+                    raise EmbeddingIncompatible(
+                        "solution and brace solution disagree on images", (x, y))
     steps = _series_cosets(B, series)
-    chain = series.chain
-    n = len(steps)
-    if n == 0:
+    if not steps:
         # zero brace: injectivity already forces X to be a single point
         return MultidecompositionWitness(points, (points,), ())
-    last_nonzero = chain[n - 1]
-    meet = sorted(x for x in points if emap[x] in last_nonzero)
-    if not meet:
+    levels, partitions, level = [points], [], members
+    for labels in steps:
+        # one pass over the level, in point order: each point goes to the block
+        # of its image's coset, and the coset holding 0 is the next level
+        blocks: dict[int, list[int]] = {}
+        for x in level:
+            blocks.setdefault(labels[emap[x]], []).append(x)
+        # blocks open at their least points, and disjoint blocks of one size
+        # differ there, so ordering them by size alone gives subset_key order
+        ordered = sorted(blocks.values(), key=len)
+        partitions.append(Partition(levels[-1], tuple(map(frozenset, ordered))))
+        level = blocks.get(labels[0], [])
+        levels.append(frozenset(level))
+    if not levels[-2]:
         raise HypothesisFailed("X misses the last non-zero series member")
-    levels = [points]
-    for j in range(1, n):
-        levels.append(frozenset(x for x in points if emap[x] in chain[j]))
-    levels.append(frozenset({meet[0]}))
-    partitions = []
-    for level, cosets in zip(levels, steps):
-        blocks = []
-        for block in cosets.blocks:
-            pulled = frozenset(x for x in level if emap[x] in block)
-            if pulled:
-                blocks.append(pulled)
-        partitions.append(make_partition(blocks))
-    witness = MultidecompositionWitness(points, tuple(levels), tuple(partitions))
-    checks = verify_multidecomposition(solution, witness)
-    if not checks["ok"]:
+    levels[-1] = frozenset({min(levels[-2])})
+    checks = {
+        "starts_at_ground": levels[0] == points,
+        "ends_in_singleton": len(levels[-1]) == 1,
+        "levels_match": len(partitions) == len(levels) - 1,
+        "descending": all(lower <= upper for upper, lower in zip(levels, levels[1:])),
+        "partitions_cover": all(p.ground == upper for p, upper in zip(partitions, levels)),
+        "next_is_block": all(lower in p.blocks for p, lower in zip(partitions, levels[1:])),
+    }
+    if not all(checks.values()):
         raise InternalInvariant(f"embedded witness failed verification: {checks}")
-    return witness
+    return MultidecompositionWitness(points, tuple(levels), tuple(partitions))

@@ -6,6 +6,7 @@ pyproject.toml puts this directory on sys.path.
 
 from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_brace
 from braceforge.groups import FiniteGroup, compose, _ambient_perms
+from braceforge.ybe import make_partition
 
 
 def invert(p):
@@ -124,3 +125,13 @@ def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:
     add = [[projection[B.plus(a, b)] for b in reps] for a in reps]
     mul = [[projection[B.times(a, b)] for b in reps] for a in reps]
     return Quotient(validate_brace(add, mul), projection, tuple(reps))
+
+
+def reference_coset_partition(B: SkewBrace, ideal: frozenset, within: frozenset):
+    """Both cosets of the ideal built for every b of `within`, one kept per least element."""
+    blocks = {}
+    for b in within:
+        left = frozenset(B.times(b, i) for i in ideal)
+        assert left == frozenset(B.plus(b, i) for i in ideal)
+        blocks[min(left)] = left
+    return make_partition(blocks.values())

@@ -149,6 +149,7 @@ def test_criterion_06_embedded_witnesses(braces):
                 continue
             witness = embedded_multidecomposition(solution, X, B, identity, series)
             assert witness.chain[0] == X and len(witness.chain[-1]) == 1
+            assert verify_multidecomposition(solution, witness)["ok"]
             total += 1
     report(6, f"embedded witnesses verified for {total} (brace, subset) pairs")
 

@@ -12,6 +12,7 @@ from braceforge.errors import (
     Degenerate,
     EmbeddingIncompatible,
     HypothesisFailed,
+    InternalInvariant,
     NotAnIdeal,
     QuotientNotAbelian,
     SeriesInvalid,
@@ -27,6 +28,7 @@ from braceforge.structure import (
 )
 from braceforge.ybe import (
     MultidecompositionWitness,
+    Solution,
     coset_partition,
     embedded_multidecomposition,
     find_decomposition,
@@ -41,6 +43,7 @@ from braceforge.ybe import (
     validate_solution,
     verify_multidecomposition,
 )
+from reference import reference_coset_partition
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
@@ -172,6 +175,20 @@ class TestCosetPartition:
         p = coset_partition(trivial_brace(cyclic(4)), frozenset({0, 2}))
         assert p.blocks == (frozenset({0, 2}), frozenset({1, 3})) and p.uniform
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_reference_on_census(self, n):
+        # every ideal of every census brace of order n, and every step of each
+        # soluble brace's derived series, against the per-element build
+        for entry in enumerate_braces(n):
+            B = entry.brace
+            for I in all_ideals(B):
+                assert coset_partition(B, I) == reference_coset_partition(B, I, B.carrier())
+            series = derived_series(B)
+            if series.terminated:
+                for upper, lower in zip(series.chain, series.chain[1:]):
+                    assert (coset_partition(B, lower, within=upper)
+                            == reference_coset_partition(B, lower, upper))
+
     def test_non_ideal_raises(self):
         # an order-2 subgroup of an S3 inside the trivial brace on S3 x C2 is
         # normal neither in that S3 nor in the whole group
@@ -297,6 +314,22 @@ class TestEmbedded:
         w = embedded_multidecomposition(s, {0}, B, [0], derived_series(B))
         assert w.chain == (ZERO,) and w.partitions == ()
 
+    @pytest.mark.parametrize("embed, point", [([0, 1], 2), ({0: 0}, 2)])
+    def test_missing_image_names_the_point(self, embed, point):
+        B, series = z4_two_step_series()
+        with pytest.raises(EmbeddingIncompatible) as info:
+            embedded_multidecomposition(solution_from_brace(B), {0, 2}, B, embed, series)
+        assert info.value.witness == point and f"point {point}" in str(info.value)
+
+    @pytest.mark.parametrize("embed, point", [([0, 1, True, 3], 2), ([0, 1, 2.0, 3], 2),
+                                              ([False, 1, 2, 3], 0)])
+    def test_image_that_is_not_an_int_rejected(self, embed, point):
+        # True, False and 2.0 compare equal to the ints 1, 0 and 2
+        B, series = z4_two_step_series()
+        with pytest.raises(EmbeddingIncompatible) as info:
+            embedded_multidecomposition(solution_from_brace(B), {0, 2}, B, embed, series)
+        assert info.value.witness == point and "not an int" in str(info.value)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_reference_on_census(self, n):
         # every r-closed subset meeting the last derived term of every soluble
@@ -313,6 +346,114 @@ class TestEmbedded:
                 if X & last_nonzero:
                     want = embedded_reference(s, X, B, identity, series)
                     assert embedded_multidecomposition(s, X, B, identity, series) == want
+
+
+def relabelled(solution, perm):
+    """The solution carried to new points: point x stands for perm[x]."""
+    inv = [0] * len(perm)
+    for x, image in enumerate(perm):
+        inv[image] = x
+    m = solution.size
+    lam = [[inv[solution.lambda_tab[perm[x]][perm[y]]] for y in range(m)] for x in range(m)]
+    rho = [[inv[solution.rho_tab[perm[y]][perm[x]]] for x in range(m)] for y in range(m)]
+    return validate_solution(lam, rho)
+
+
+def soluble_census(max_order):
+    for n in range(1, max_order + 1):
+        for entry in enumerate_braces(n):
+            if derived_series(entry.brace).terminated:
+                yield entry.brace
+
+
+def meeting_subsets(B, series):
+    """The r-closed subsets of the brace solution that meet the last non-zero member."""
+    last_nonzero = series.chain[-2] if B.order > 1 else ZERO
+    return [X for X in r_closed_subsets(solution_from_brace(B)) if X & last_nonzero]
+
+
+class TestRestrictionLemma:
+    """Witnesses whose block swaps come from the series check pass the full re-check."""
+
+    def test_every_witness_verifies_on_census(self):
+        # the paranoid path: every clause, block swaps included, on every
+        # witness of every soluble census brace of order <= 12
+        total = 0
+        for B in soluble_census(12):
+            series = derived_series(B)
+            s = solution_from_brace(B)
+            identity = list(range(B.order))
+            for X in meeting_subsets(B, series):
+                w = embedded_multidecomposition(s, X, B, identity, series)
+                assert w.ground == X and verify_multidecomposition(s, w)["ok"]
+                total += 1
+        assert total > 10_000
+
+    def test_equal_tables_and_relabelled_solutions(self):
+        # a copy with equal tables takes the identity path; a relabelled copy
+        # with a permutation embedding takes the pairwise path
+        for B in soluble_census(8):
+            if B.order < 2:
+                continue
+            series = derived_series(B)
+            s = solution_from_brace(B)
+            copy = Solution(s.size, tuple(tuple(list(r)) for r in s.lambda_tab),
+                            tuple(tuple(list(r)) for r in s.rho_tab))
+            assert copy is not s and copy.lambda_tab is not s.lambda_tab and copy == s
+            perm = [(3 * x + 1) % B.order if B.order % 3 else B.order - 1 - x
+                    for x in range(B.order)]
+            moved = relabelled(s, perm)
+            back = {image: x for x, image in enumerate(perm)}
+            identity = list(range(B.order))
+            for X in meeting_subsets(B, series):
+                w = embedded_multidecomposition(s, X, B, identity, series)
+                w_copy = embedded_multidecomposition(copy, X, B, identity, series)
+                assert w_copy == w and verify_multidecomposition(copy, w_copy)["ok"]
+                Y = frozenset(back[b] for b in X)
+                w_moved = embedded_multidecomposition(moved, Y, B, perm, series)
+                assert verify_multidecomposition(moved, w_moved)["ok"]
+                # carried back to the brace, the levels and blocks are the same;
+                # the final point is the least of the last level in each labelling
+                chain = [frozenset(perm[y] for y in level) for level in w_moved.chain]
+                assert chain[:-1] == list(w.chain[:-1])
+                assert len(chain[-1]) == 1 and chain[-1] <= w.chain[-2]
+                assert [make_partition({perm[y] for y in block} for block in p.blocks)
+                        for p in w_moved.partitions] == list(w.partitions)
+
+    def test_subset_that_is_not_r_closed_rejected_on_both_paths(self):
+        # in the conjugation solution on S3, r(1, 2) = (2, 5): the two
+        # transpositions 1 and 2 conjugate to the third
+        B = trivial_brace(S3)
+        series = derived_series(B)
+        s = solution_from_brace(B)
+        with pytest.raises(EmbeddingIncompatible, match="not r-closed") as info:
+            embedded_multidecomposition(s, {1, 2}, B, range(6), series)
+        assert info.value.witness == (1, 2)
+        perm = [5, 4, 3, 2, 1, 0]
+        with pytest.raises(EmbeddingIncompatible, match="not r-closed") as info:
+            embedded_multidecomposition(relabelled(s, perm), {4, 3}, B, perm, series)
+        assert info.value.witness == (3, 4)
+
+    def test_brace_solution_under_another_embedding_is_checked_pairwise(self):
+        # swapping 0 and 1 is no automorphism of S3: r(1, 2) = (2, 5) lands
+        # on (2, 5), but the brace solution gives r(0, 2) = (2, 0)
+        B = trivial_brace(S3)
+        with pytest.raises(EmbeddingIncompatible, match="disagree on images"):
+            embedded_multidecomposition(solution_from_brace(B), range(6), B,
+                                        [1, 0, 2, 3, 4, 5], derived_series(B))
+
+    def test_cosets_that_do_not_block_swap_raise(self, monkeypatch):
+        # the conjugation solution on S3 does not swap the blocks {0,1} and
+        # {2,3,4,5}; the series check names the step and the failing pair
+        B = trivial_brace(S3)
+        series = derived_series(B)
+        bad = make_partition([{0, 1}, {2, 3, 4, 5}])
+        monkeypatch.setattr(ybe, "coset_partition", lambda B, I, within=None: bad)
+        with pytest.raises(InternalInvariant, match=r"step 0: .* do not block-swap"):
+            embedded_multidecomposition(solution_from_brace(B), B.carrier(), B,
+                                        range(6), series)
+        with pytest.raises(InternalInvariant):
+            ybe._series_cosets(B, series)
 
 
 class TestRClosedSubsets:
