@@ -12,7 +12,6 @@ re-checks every clause of any witness.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -366,31 +365,35 @@ class MultidecompositionWitness:
                 "uniform": self.uniform}
 
 
-def verify_multidecomposition(solution: Solution,
-                              witness: MultidecompositionWitness) -> dict:
-    """Re-check every clause of the witness; returns per-check booleans."""
+def _witness_structure(witness: MultidecompositionWitness) -> dict:
+    """The clauses of a witness that do not involve r, as per-check booleans.
+
+    A partition whose ground is not its level fails partitions_cover and is
+    left out of next_is_block.
+    """
     chain, partitions = witness.chain, witness.partitions
-    checks = {
+    covered = [(part, chain[i + 1]) for i, part in enumerate(partitions)
+               if part.ground == chain[i]]
+    return {
         "starts_at_ground": bool(chain) and chain[0] == witness.ground,
         "ends_in_singleton": bool(chain) and len(chain[-1]) == 1,
         "levels_match": len(partitions) == len(chain) - 1,
         "descending": all(chain[i + 1] <= chain[i] for i in range(len(chain) - 1)),
-        "r_closed": True, "partitions_cover": True,
-        "next_is_block": True, "block_swap": True,
+        "partitions_cover": len(covered) == len(partitions),
+        "next_is_block": all(lower in part.blocks for part, lower in covered),
     }
-    for i, part in enumerate(partitions):
-        X = chain[i]
-        if any(solution.lambda_tab[x][y] not in X or solution.rho_tab[y][x] not in X
-               for x in X for y in X):
-            checks["r_closed"] = False
-        if part.ground != X:
-            checks["partitions_cover"] = False
-            continue
-        if chain[i + 1] not in part.blocks:
-            checks["next_is_block"] = False
-        ok, _ = _blocks_swap_ok(solution, part.blocks)
-        if not ok:
-            checks["block_swap"] = False
+
+
+def verify_multidecomposition(solution: Solution,
+                              witness: MultidecompositionWitness) -> dict:
+    """Re-check every clause of the witness; returns per-check booleans."""
+    chain, partitions = witness.chain, witness.partitions
+    checks = _witness_structure(witness)
+    lam, rho = solution.lambda_tab, solution.rho_tab
+    checks["r_closed"] = all(lam[x][y] in X and rho[y][x] in X
+                             for X in chain[:len(partitions)] for x in X for y in X)
+    checks["block_swap"] = all(_blocks_swap_ok(solution, part.blocks)[0]
+                               for part, X in zip(partitions, chain) if part.ground == X)
     checks["ok"] = all(checks.values())
     return checks
 
@@ -482,11 +485,12 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
     block-swap for the brace solution.  For r-closed X, each level X_j is
     r-closed (ideals are), and r(X_a x X_b) lies in (C_b x C_a) intersected
     with X_j x X_j, that is in X_b x X_a.  So per X only r-closure and the
-    intertwining are checked: pair by pair through the embedding, or, when
-    the solution has the brace solution's tables and the embedding is the
-    identity on X, r-closure alone, on rows.  The witness's structural
-    clauses are checked before it is returned; `verify_multidecomposition`
-    re-checks every clause, block swaps included, for callers that want it.
+    intertwining are checked, pair by pair through the embedding; when the
+    solution has the brace solution's tables and the embedding is the
+    identity on X, the intertwining holds trivially and is skipped.  The
+    witness's structural clauses (`_witness_structure`) are checked before it
+    is returned; `verify_multidecomposition` re-checks every clause, block
+    swaps included, for callers that want it.
     """
     points = frozenset(X)
     if not points or not points <= solution.ground():
@@ -507,26 +511,17 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
     if not set(emap.values()) <= set(B.elements()):
         raise EmbeddingIncompatible("embedding leaves the brace carrier")
     brace_solution = solution_from_brace(B)
+    # the brace solution's tables under the identity intertwine with themselves
+    identity = solution == brace_solution and list(emap.values()) == members
     lam, rho = solution.lambda_tab, solution.rho_tab
-    if solution == brace_solution and list(emap.values()) == members:  # identity on X
-        # r intertwines with itself, so only closure is left: the outputs of
-        # r on X x X are the rows of lam and rho at members, gathered at members
-        pick = (operator.itemgetter(*members) if len(members) > 1
-                else lambda row: (row[members[0]],))
-        outputs = itertools.chain.from_iterable(map(pick, pick(lam) + pick(rho)))
-        if not points.issuperset(outputs):
-            pair = next((x, y) for x in members for y in members
-                        if lam[x][y] not in points or rho[y][x] not in points)
-            raise EmbeddingIncompatible("X is not r-closed", pair)
-    else:
-        for x in members:
-            for y in members:
-                u, v = lam[x][y], rho[y][x]
-                if u not in points or v not in points:
-                    raise EmbeddingIncompatible("X is not r-closed", (x, y))
-                if brace_solution.r(emap[x], emap[y]) != (emap[u], emap[v]):
-                    raise EmbeddingIncompatible(
-                        "solution and brace solution disagree on images", (x, y))
+    for x in members:
+        for y in members:
+            u, v = lam[x][y], rho[y][x]
+            if u not in points or v not in points:
+                raise EmbeddingIncompatible("X is not r-closed", (x, y))
+            if not identity and brace_solution.r(emap[x], emap[y]) != (emap[u], emap[v]):
+                raise EmbeddingIncompatible(
+                    "solution and brace solution disagree on images", (x, y))
     steps = _series_cosets(B, series)
     if not steps:
         # zero brace: injectivity already forces X to be a single point
@@ -547,14 +542,8 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
     if not levels[-2]:
         raise HypothesisFailed("X misses the last non-zero series member")
     levels[-1] = frozenset({min(levels[-2])})
-    checks = {
-        "starts_at_ground": levels[0] == points,
-        "ends_in_singleton": len(levels[-1]) == 1,
-        "levels_match": len(partitions) == len(levels) - 1,
-        "descending": all(lower <= upper for upper, lower in zip(levels, levels[1:])),
-        "partitions_cover": all(p.ground == upper for p, upper in zip(partitions, levels)),
-        "next_is_block": all(lower in p.blocks for p, lower in zip(partitions, levels[1:])),
-    }
+    witness = MultidecompositionWitness(points, tuple(levels), tuple(partitions))
+    checks = _witness_structure(witness)
     if not all(checks.values()):
         raise InternalInvariant(f"embedded witness failed verification: {checks}")
-    return MultidecompositionWitness(points, tuple(levels), tuple(partitions))
+    return witness

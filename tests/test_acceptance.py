@@ -135,9 +135,11 @@ def test_criterion_05_uniform_multidecomposition(braces):
               f"{cosets} coset decompositions")
 
 
-def test_criterion_06_embedded_witnesses(braces):
-    """Every r-closed subset meeting the last non-zero derived term embeds."""
-    soluble = [B for B in braces if is_soluble(B)]
+def test_criterion_06_embedded_witnesses():
+    """Every r-closed subset meeting the last non-zero derived term embeds,
+    and its witness passes every clause, block swaps included (order <= 12)."""
+    slow = [e.brace for n in range(1, SLOW_ORDER + 1) for e in enumerate_braces(n)]
+    soluble = [B for B in slow if is_soluble(B)]
     total = 0
     for B in soluble:
         series = derived_series(B)
@@ -151,6 +153,7 @@ def test_criterion_06_embedded_witnesses(braces):
             assert witness.chain[0] == X and len(witness.chain[-1]) == 1
             assert verify_multidecomposition(solution, witness)["ok"]
             total += 1
+    assert total > 10_000
     report(6, f"embedded witnesses verified for {total} (brace, subset) pairs")
 
 
