@@ -167,6 +167,19 @@ def _brace_law_scan(add: FiniteGroup, mul: FiniteGroup) -> None:
                     raise BraceAxiomFailed(a, b, c)
 
 
+def _derived_brace(add_rows: Sequence[Perm], mul_rows: Sequence[Perm]) -> SkewBrace:
+    """The brace on tables that are a brace's by construction, with no law re-checked.
+
+    A subbrace of a brace is a brace by definition, and a quotient by an
+    ideal is one by Guarnieri-Vendramin (Math. Comp. 2017, Lemma 2.3), so
+    their tables need only the inverses, read off as validate_group does,
+    and the lambda table.  Generating sets are computed on first use.
+    """
+    add, mul = (FiniteGroup(tuple(rows), tuple([row.index(0) for row in rows]))
+                for rows in (add_rows, mul_rows))
+    return SkewBrace(add, mul, _lambda_table(add, mul))
+
+
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
     """Both operations equal to G's."""
     return SkewBrace(G, G, tuple(identity_perm(G.order) for _ in G.elements()))
@@ -342,7 +355,7 @@ def _sub_brace(B: SkewBrace, key: frozenset[int]) -> SubBrace:
         pos[g] = i
     add = [compose(pos, compose(B.add.table[a], members)) for a in members]
     mul = [compose(pos, compose(B.mul.table[a], members)) for a in members]
-    return SubBrace(validate_brace(add, mul), tuple(members))
+    return SubBrace(_derived_brace(add, mul), tuple(members))
 
 
 @dataclass(frozen=True)
@@ -379,7 +392,7 @@ def _quotient(B: SkewBrace, ideal: frozenset[int]) -> Quotient:
     projection, reps = _left_cosets(B.add.table, operator.itemgetter(*ideal))
     add = [compose(projection, compose(B.add.table[a], reps)) for a in reps]
     mul = [compose(projection, compose(B.mul.table[a], reps)) for a in reps]
-    return Quotient(validate_brace(add, mul), projection, tuple(reps))
+    return Quotient(_derived_brace(add, mul), projection, tuple(reps))
 
 
 def subbrace_product(B: SkewBrace, S: Iterable[int], I: Iterable[int]) -> frozenset[int]:

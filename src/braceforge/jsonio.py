@@ -54,10 +54,13 @@ class LoadReport:
 
 
 def _square_tables(data: dict, *keys: str) -> list:
-    """data[key] for each key, refused unless all are n x n lists of lists for one n.
+    """data[key] for each key, refused unless all are present n x n lists of lists for one n.
 
     Only the shape is checked, and no validator runs; the validators judge the entries.
     """
+    for key in keys:
+        if key not in data:
+            raise InvalidDocument(f"missing key {key!r}")
     tables = [data[key] for key in keys]
     n = len(tables[0]) if isinstance(tables[0], (list, tuple)) else -1
     for key, table in zip(keys, tables):
@@ -75,7 +78,10 @@ def _check_declared(data: dict, key: str, n: int) -> None:
 
 
 def _find_identity(table: Sequence[Sequence[int]]) -> int:
+    """The two-sided identity; 0 for an empty table, so the validator refuses it as empty."""
     n = len(table)
+    if not n:
+        return 0
     for e in range(n):
         if all(table[e][a] == a and table[a][e] == a for a in range(n)):
             return e

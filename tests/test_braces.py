@@ -203,6 +203,12 @@ def census(max_order):
     return [e.brace for n in range(1, max_order + 1) for e in enumerate_braces(n)]
 
 
+def derived_braces(B):
+    """The quotients of B by its ideals and its subbraces, as built and memoised on B."""
+    return ([quotient(B, I).brace for I in all_ideals(B)]
+            + [sub_brace(B, T).brace for T in subbraces(B)])
+
+
 def row_classify(B, S):
     """The whole-row kernel itself, bypassing the memo."""
     return braces._classify.__wrapped__(B, frozenset(S))
@@ -228,11 +234,33 @@ class TestClassifyAgainstReference:
 
     def test_quotients_and_subbraces_up_to_order_15(self):
         for B in census(15):
-            derived = [quotient(B, I).brace for I in all_ideals(B)]
-            derived += [sub_brace(B, T).brace for T in subbraces(B)]
-            for D in derived:
+            for D in derived_braces(B):
                 for S in subgroups(D.add):
                     assert row_classify(D, S) == reference_classify(D, S), (B, D, sorted(S))
+
+
+class TestDerivedBracesByConstruction:
+    """Quotients and subbraces are built without validation; the validator agrees."""
+
+    def test_validator_accepts_and_equals_every_derived_brace_up_to_order_15(self):
+        checked = 0
+        for B in census(15):
+            for D in derived_braces(B):
+                for E in [D] + derived_braces(D):
+                    V = validate_brace(E.add.table, E.mul.table)
+                    for built, validated in ((E.add, V.add), (E.mul, V.mul)):
+                        assert built.table == validated.table
+                        assert built.inverse == validated.inverse
+                        assert built.generators() == validated.generators()
+                    assert E.lam == V.lam
+                    checked += 1
+        assert checked == 9014
+
+    def test_generating_sets_wait_for_first_use(self):
+        B = almost_trivial_brace(S3)
+        for D in (quotient(B, A3).brace, sub_brace(B, A3).brace):
+            assert not D.add._cache and not D.mul._cache
+            assert D.add.generators() is D.add.generators()
 
 
 class TestSubsetLabels:

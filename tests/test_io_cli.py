@@ -127,6 +127,26 @@ class TestSolutionFiles:
             jsonio.load_solution_data({"size": 2, "lambda": flip, "rho": flip})
 
 
+class TestMissingAndEmptyTables:
+    @pytest.mark.parametrize("load, data, key", [
+        (jsonio.load_group_data, {}, "table"),
+        (jsonio.load_brace_data, {}, "add"),
+        (jsonio.load_brace_data, {"add": [[0]]}, "mul"),
+        (jsonio.load_solution_data, {"lambda": [[0]]}, "rho"),
+    ])
+    def test_missing_key_is_an_invalid_document(self, load, data, key):
+        with pytest.raises(InvalidDocument, match=f"^missing key '{key}'$"):
+            load(data)
+
+    def test_empty_table_reported_by_the_validator(self):
+        with pytest.raises(NotClosed, match="empty table"):
+            jsonio.load_group_data({"table": []})
+        with pytest.raises(GroupInvalid) as exc:
+            jsonio.load_brace_data({"add": [], "mul": []})
+        assert exc.value.which == "add" and isinstance(exc.value.cause, NotClosed)
+        assert str(exc.value) == str(GroupInvalid("add", NotClosed(0, 0, "empty table")))
+
+
 @given(st.permutations(list(range(5))))
 @settings(max_examples=25, deadline=None)
 def test_loader_accepts_any_relabeling(perm):
@@ -294,6 +314,20 @@ class TestCliRejectionBytes:
     ])
     def test_stderr_names_the_first_witness(self, tmp_path, capsys, command, kind, line):
         path = write(tmp_path, "doc.json", law_breaking_document(kind))
+        assert main([command, path]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == line and captured.out == ""
+
+    @pytest.mark.parametrize("command, data, line", [
+        ("analyze", {}, "validation failed: missing key 'add'\n"),
+        ("decompose", {"lambda": [[0]]}, "validation failed: missing key 'add'\n"),
+        ("analyze", {"add": [], "mul": []},
+         "validation failed: add table is not a group: "
+         "table not a Latin square at (0,0): empty table\n"),
+    ])
+    def test_stderr_names_a_missing_key_or_an_empty_table(self, tmp_path, capsys,
+                                                          command, data, line):
+        path = write(tmp_path, "doc.json", data)
         assert main([command, path]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err == line and captured.out == ""

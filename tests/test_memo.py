@@ -23,13 +23,20 @@ from braceforge.groups import FiniteGroup, validate_group
 from braceforge.structure import (
     SeriesWitness,
     all_ideals,
+    annihilator_quotient_test,
     chief_series,
     commutator,
     derived_series,
     dossier,
     is_soluble,
+    verify_soluble_chief_factors,
 )
-from braceforge.ybe import embedded_multidecomposition, r_closed_subsets, solution_from_brace
+from braceforge.ybe import (
+    embedded_multidecomposition,
+    multidecomposition_from_series,
+    r_closed_subsets,
+    solution_from_brace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -257,13 +264,13 @@ def test_whole_brace_is_not_copied(monkeypatch):
     # B is its own whole subbrace and its own quotient by {0}
     B = trivial_brace(symmetric_group(3))
     orders = []
-    original = braces.validate_brace
+    original = braces._derived_brace
 
-    def counting(add_table, mul_table):
-        orders.append(len(add_table))
-        return original(add_table, mul_table)
+    def counting(add_rows, mul_rows):
+        orders.append(len(add_rows))
+        return original(add_rows, mul_rows)
 
-    monkeypatch.setattr(braces, "validate_brace", counting)
+    monkeypatch.setattr(braces, "_derived_brace", counting)
     derived_series(B)
     assert orders == [2, 3]  # S3/A3 and A3; no copies of S3 or of A3
     assert sub_brace(B, B.carrier()).brace is B and quotient(B, {0}).brace is B
@@ -271,20 +278,33 @@ def test_whole_brace_is_not_copied(monkeypatch):
     assert all(getattr(v, "brace", None) is not B for v in B._cache.values())
 
 
-def test_verify_d_validates_each_brace_solution_once(monkeypatch, tmp_path):
-    calls = []
+def test_verify_d_builds_each_brace_solution_once(monkeypatch, tmp_path):
+    validated = []
     original = ybe.validate_solution
 
     def counting(lambda_tab, rho_tab):
-        calls.append((lambda_tab, rho_tab))
+        validated.append((lambda_tab, rho_tab))
         return original(lambda_tab, rho_tab)
 
     monkeypatch.setattr(ybe, "validate_solution", counting)
+    # the profile hook sees the memoised body run, not the cache hits
+    code, built = solution_from_brace.__wrapped__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built.append(frame.f_locals["B"])
+
     out = tmp_path / "d.json"
-    assert main(["verify", "D", "--max-order", "8", "--out", str(out)]) == 0
-    # every soluble brace needs its solution, so the total pins one call each
+    sys.setprofile(profile)
+    try:
+        status = main(["verify", "D", "--max-order", "8", "--out", str(out)])
+    finally:
+        sys.setprofile(None)
+    assert status == 0
+    # every soluble brace needs its solution, so the total pins one build each;
+    # a brace's solution satisfies the braid relation by theorem and is not re-validated
     soluble = json.loads(out.read_text())["soluble"]
-    assert soluble > 0 and len(calls) == soluble
+    assert soluble > 0 and len(built) == soluble and not validated
 
 
 def test_verify_d_builds_each_series_step_once(monkeypatch, tmp_path):
@@ -304,3 +324,35 @@ def test_verify_d_builds_each_series_step_once(monkeypatch, tmp_path):
              for n in range(1, 9) for e in enumerate_braces(n) if is_soluble(e.brace)]
     assert sum(steps) > len(steps) and len(calls) == sum(steps)
     assert len(set(map(id, calls))) == sum(1 for k in steps if k)
+
+
+def test_derived_objects_are_not_revalidated(monkeypatch):
+    # quotients, subbraces and the brace solution are braces and solutions by
+    # theorem, so scopes B, C, D and prop-central-commut validate nothing past
+    # the input brace
+    entry = next(e for e in enumerate_braces(12)
+                 if not e.brace.is_trivial and is_soluble(e.brace)
+                 and len(derived_series(e.brace).chain) > 2)
+    B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+    calls = []
+    for module, name in ((braces, "validate_brace"), (groups, "validate_group"),
+                         (ybe, "validate_solution")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    verify_soluble_chief_factors(B)
+    multidecomposition_from_series(B, derived_series(B))
+    ideals = all_ideals(B)
+    pairs = [(I, J) for I in ideals for J in ideals if J <= I]
+    for I, J in pairs:
+        annihilator_quotient_test(B, I, J)
+    series = derived_series(B)
+    solution = solution_from_brace(B)
+    X = next(X for X in r_closed_subsets(solution) if X & series.chain[-2] and len(X) > 1)
+    embedded_multidecomposition(solution, X, B, range(B.order), series)
+    # the walk did build derived braces, and none was validated
+    assert len(pairs) > len(ideals) > 2
+    assert any(isinstance(v, (braces.SubBrace, braces.Quotient)) for v in B._cache.values())
+    assert calls == []

@@ -127,10 +127,11 @@ class TestSolutionFromBrace:
         assert solution_from_brace(trivial_brace(cyclic(1))).size == 1
 
     def test_census_solutions_validate(self):
-        for n in range(1, 7):
+        # built without validation, since the braid relation holds by theorem
+        for n in range(1, 16):
             for entry in enumerate_braces(n):
                 s = solution_from_brace(entry.brace)
-                validate_solution(s.lambda_tab, s.rho_tab)
+                assert validate_solution(s.lambda_tab, s.rho_tab) == s
 
 
 class TestPartitionDecomposable:
