@@ -105,21 +105,23 @@ def _census_range(max_order: int) -> list[CensusEntry]:
 
 
 def cmd_enumerate(args) -> int:
+    # the oracle runs first, so an order above its bound fails before any census is written
+    oracle = oracle_enumerate_braces(args.order) if args.oracle_check else None
     entries = enumerate_braces(args.order)
     lines = jsonio.census_to_lines(entries)
     summary = f"order {args.order}: {len(entries)} classes\n"
     if args.out:
         jsonio.write_text(args.out, lines)
-        sys.stdout.write(summary)
+        notes = sys.stdout
     else:
         sys.stdout.write(lines)
-        sys.stderr.write(summary)
-    if args.oracle_check:
-        oracle = oracle_enumerate_braces(args.order)
+        notes = sys.stderr  # stdout carries the census alone, as JSON lines
+    notes.write(summary)
+    if oracle is not None:
         if not _same_classes([e.brace for e in entries], oracle):
             sys.stderr.write("oracle cross-check FAILED\n")
             return EXIT_INTERNAL
-        sys.stdout.write(f"oracle agrees: {len(oracle)} classes\n")
+        notes.write(f"oracle agrees: {len(oracle)} classes\n")
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ from .groups import (
     assert_simple_nonabelian,
     automorphism_group,
     check_bound,
+    compose,
     group_isomorphism,
     pair_pool,
     regular_subgroups,
@@ -105,6 +106,13 @@ def _orbit_representatives(G: FiniteGroup,
     marked seen and the member with the least product table is kept.
     Returned in the order of their product tables.
 
+    The least table is found without building one per member.  Row g of the
+    table is G.table[g] composed with phi_g, so it depends on the assignment
+    at g alone, and distinct phi_g give distinct rows: two members' tables
+    first differ at the first g where their assignments differ, and only
+    those two rows are built and compared.  Distinct members therefore have
+    distinct tables, and the least one does not depend on the walk's order.
+
     Three invariants are checked, each raising InternalInvariant: every orbit
     image is a raw subgroup, |orbit| * |stabiliser| = |Aut(G)| for each class,
     and the orbit sizes sum to the raw count.
@@ -121,12 +129,9 @@ def _orbit_representatives(G: FiniteGroup,
             continue
         orbit = set()
         stabiliser = 0
-        for i, alpha in enumerate(perms):
-            ci, j = comp[i], inv[i]
-            image = [0] * G.order
-            for g in G.elements():
-                image[alpha[g]] = comp[ci[a[g]]][j]
-            moved = tuple(image)
+        for ci, j in zip(comp, inv):
+            # phi at alpha(g) is alpha phi_g alpha^-1, and perms[j] is alpha^-1
+            moved = tuple([comp[ci[a[g]]][j] for g in perms[j]])
             if moved not in by_assignment:
                 raise InternalInvariant("an automorphism moves a regular subgroup "
                                         "outside the raw regular subgroups")
@@ -137,8 +142,15 @@ def _orbit_representatives(G: FiniteGroup,
                                     f"is not |Aut| = {len(perms)}")
         seen |= orbit
         covered += len(orbit)
-        kept.append(min((by_assignment[m] for m in orbit),
-                        key=RegularSubgroup.multiplication_table))
+        least = a
+        for m in orbit:
+            if m == least:
+                continue
+            g = next(g for g, (x, y) in enumerate(zip(m, least)) if x != y)
+            row = G.table[g]
+            if compose(row, perms[m[g]]) < compose(row, perms[least[g]]):
+                least = m
+        kept.append(by_assignment[least])
     if covered != len(raw):
         raise InternalInvariant(f"orbit sizes sum to {covered}, not to the "
                                 f"{len(raw)} raw regular subgroups")
@@ -204,14 +216,16 @@ def simple_inner_regular_subgroups(G: FiniteGroup) -> list[RegularSubgroup]:
     G must be simple and non-abelian.  For such G these are exactly two:
     the all-identity assignment and g -> conjugation by g^{-1}.  A subgroup
     whose element-order histogram, read off its pairs, differs from G's is
-    not isomorphic to G; only the others get a product table, which is
-    Latin-checked and tested by group_isomorphism.
+    not isomorphic to G: RegularSubgroup.fits_histogram counts down from G's
+    histogram and rejects at the first order with no count left.  Only the
+    others get a product table, which is Latin-checked and tested by
+    group_isomorphism.
     """
     assert_simple_nonabelian(G)
     target_hist = G.order_histogram()
     out = []
     for H in regular_subgroups(G, "inner"):
-        if H.order_histogram() != target_hist:
+        if not H.fits_histogram(target_hist):
             continue
         if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None:
             out.append(H)

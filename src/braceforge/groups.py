@@ -390,27 +390,36 @@ def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
 
 def _hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
                                images: Sequence[int]) -> Perm | None:
-    """Bijective homomorphism G -> H sending gens to images, if one exists."""
+    """Bijective homomorphism G -> H sending gens to images, if one exists.
+
+    The map is grown from f(0) = 0 along the edges x -> xg of G's Cayley
+    graph on gens, as f(xg) = f(x) h_g, and each edge is checked as it is
+    taken: an edge to an element already mapped to another image ends the
+    search.  When every edge holds, f(xw) = f(x) f(w) for every word w in
+    the generators by induction on its length, and in a finite group every
+    element is such a word, so f is a homomorphism with no check over all
+    pairs.  Elements the generators do not reach, and a map that is not
+    injective, give None.
+    """
     n = G.order
+    G_table, H_table = G.table, H.table
+    edges = tuple(zip(gens, images))
     mapping: list[int | None] = [None] * n
     mapping[0] = 0
     queue = [0]
     while queue:
         x = queue.pop()
-        fx = mapping[x]
-        for g, h in zip(gens, images):
-            y = G.table[x][g]
-            fy = H.table[fx][h]
-            if mapping[y] is None:
+        row_x, row_fx = G_table[x], H_table[mapping[x]]  # type: ignore[index]
+        for g, h in edges:
+            y, fy = row_x[g], row_fx[h]
+            got = mapping[y]
+            if got is None:
                 mapping[y] = fy
                 queue.append(y)
-    if any(v is None for v in mapping) or len(set(mapping)) != n:
-        return None
-    for a in range(n):
-        ma = mapping[a]
-        for b in range(n):
-            if mapping[G.table[a][b]] != H.table[ma][mapping[b]]:
+            elif got != fy:
                 return None
+    if None in mapping or len(set(mapping)) != n:
+        return None
     return tuple(mapping)  # type: ignore[arg-type]
 
 
@@ -573,22 +582,27 @@ class RegularSubgroup:
         G = self.group
         return tuple(tuple(map(G.table[g].__getitem__, self.perm(g))) for g in G.elements())
 
-    def order_histogram(self) -> tuple[tuple[int, int], ...]:
-        """FiniteGroup.order_histogram of the product law, read off the pairs.
+    def fits_histogram(self, hist: Sequence[tuple[int, int]]) -> bool:
+        """Whether the product law has the element-order histogram hist, read off the pairs.
 
-        The powers of (g, phi_g) are the pairs (x, phi_x) with x <- x . phi_x(g),
-        so no product table is built.
+        hist is (order, count) pairs, as FiniteGroup.order_histogram gives.
+        The powers of (g, phi_g) are the pairs (x, phi_x) with
+        x <- x . phi_x(g), so no product table is built.  Counts go down from
+        hist, and the first element whose order has no count left decides False.
         """
+        left = dict(hist)
         table = self.group.table
         phis = [self.pool[a] for a in self.assignment]
-        hist: dict[int, int] = {}
         for g in self.group.elements():
             x, k = g, 1
             while x != 0:
                 x = table[x][phis[x][g]]
                 k += 1
-            hist[k] = hist.get(k, 0) + 1
-        return tuple(sorted(hist.items()))
+            count = left.get(k, 0)
+            if not count:
+                return False
+            left[k] = count - 1
+        return not any(left.values())
 
 
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:

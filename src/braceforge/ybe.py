@@ -69,6 +69,9 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
                       rho_tab: Sequence[Sequence[int]]) -> Solution:
     """Check bijectivity of every component map and the braid relation.
 
+    A solution needs at least one point, as a group table needs its identity:
+    empty tables raise Degenerate.
+
     The braid relation r12 r23 r12 = r23 r12 r23 is decided exactly, for each
     pair (x, y), on whole rows over z: each of the three output components
     of both sides is one composition of table rows or one gather of entries
@@ -77,7 +80,7 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
     rejection reports the same BraidFailed as a full scan.
     """
     m = len(lambda_tab)
-    if len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
+    if m == 0 or len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
             or any(len(r) != m for r in rho_tab):
         raise Degenerate("table shape", m)
     full = set(range(m))

@@ -23,6 +23,31 @@ def is_automorphism(G: FiniteGroup, perm) -> bool:
                for a in G.elements() for b in G.elements())
 
 
+def reference_hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens, images):
+    """Bijective homomorphism G -> H sending gens to images, by a fill and a check of all n^2 pairs."""
+    n = G.order
+    mapping = [None] * n
+    mapping[0] = 0
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        fx = mapping[x]
+        for g, h in zip(gens, images):
+            y = G.table[x][g]
+            fy = H.table[fx][h]
+            if mapping[y] is None:
+                mapping[y] = fy
+                queue.append(y)
+    if any(v is None for v in mapping) or len(set(mapping)) != n:
+        return None
+    for a in range(n):
+        ma = mapping[a]
+        for b in range(n):
+            if mapping[G.table[a][b]] != H.table[ma][mapping[b]]:
+                return None
+    return tuple(mapping)
+
+
 def brute_comp(perms):
     """The k x k table of perms[i] o perms[j] indices, every entry composed and hashed."""
     perms = sorted(perms)

@@ -18,10 +18,11 @@ from braceforge.groups import (
     RegularSubgroup,
     _group_unchecked,
     automorphism_group,
+    compose,
     identity_perm,
     regular_subgroups,
 )
-from reference import is_automorphism
+from reference import invert, is_automorphism
 
 # class counts for n <= 6 were produced by oracle_enumerate_braces and are
 # pinned here as regression values; 7 and 8 come from the holomorph route
@@ -207,6 +208,50 @@ class TestOrbitCensus:
         assert built == [6]
 
 
+def least_table_members(G, raw: list[RegularSubgroup]) -> list[RegularSubgroup]:
+    """Reference for the orbit walk: min(orbit, key=multiplication_table) for
+    each Aut(G)-orbit of the raw subgroups, in product-table order."""
+    index = {p: i for i, p in enumerate(raw[0].pool)}
+    by_assignment = {H.assignment: H for H in raw}
+    orbits = set()
+    for H in raw:
+        orbit = set()
+        for alpha in automorphism_group(G):
+            moved = [0] * G.order
+            for g in G.elements():
+                moved[alpha[g]] = index[compose(compose(alpha, H.perm(g)), invert(alpha))]
+            orbit.add(tuple(moved))
+        orbits.add(frozenset(orbit))
+    kept = [min((by_assignment[m] for m in orbit), key=RegularSubgroup.multiplication_table)
+            for orbit in orbits]
+    return sorted(kept, key=RegularSubgroup.multiplication_table)
+
+
+class TestOrbitRepresentatives:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_keeps_the_least_table_of_each_orbit(self, n):
+        for entry in groups_of_order(n):
+            G = entry.group
+            raw = regular_subgroups(G)
+            got = construct._orbit_representatives(G, raw)
+            assert [H.assignment for H in got] == \
+                [H.assignment for H in least_table_members(G, raw)], entry.name
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_builds_no_table_per_raw_subgroup(self, monkeypatch, n):
+        # one table per class for the final sort and one for the brace, none per orbit member
+        calls = []
+        table = RegularSubgroup.multiplication_table
+
+        def counting(self):
+            calls.append(1)
+            return table(self)
+
+        monkeypatch.setattr(RegularSubgroup, "multiplication_table", counting)
+        classes = len(enumerate_braces(n))
+        assert len(calls) <= 2 * classes
+
+
 class TestOracle:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 4)])
     def test_small_counts(self, n, count):
@@ -232,7 +277,24 @@ class TestSimpleInnerRegularSubgroups:
 
     def test_order_histogram_read_off_the_pairs(self):
         # every inner regular subgroup of A5, not only the two the filter keeps
-        subs = regular_subgroups(alternating_5(), "inner")
+        G = alternating_5()
+        target = G.order_histogram()
+        subs = regular_subgroups(G, "inner")
         assert len(subs) == 62
+        kept = 0
         for H in subs:
-            assert H.order_histogram() == _group_unchecked(H.multiplication_table()).order_histogram()
+            hist = _group_unchecked(H.multiplication_table()).order_histogram()
+            assert H.fits_histogram(hist)
+            assert H.fits_histogram(target) == (hist == target)
+            kept += hist == target
+        assert 2 <= kept < 62
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fits_histogram_decides_as_the_table_histogram(self, n):
+        for entry in groups_of_order(n):
+            G = entry.group
+            target = G.order_histogram()
+            for H in regular_subgroups(G):
+                hist = _group_unchecked(H.multiplication_table()).order_histogram()
+                assert H.fits_histogram(hist)
+                assert H.fits_histogram(target) == (hist == target)

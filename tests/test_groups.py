@@ -44,7 +44,13 @@ from braceforge.groups import (
     subgroups,
     validate_group,
 )
-from reference import brute_comp, invert, is_automorphism, reference_regular_subgroups
+from reference import (
+    brute_comp,
+    invert,
+    is_automorphism,
+    reference_hom_from_generator_images,
+    reference_regular_subgroups,
+)
 
 
 def klein_four():
@@ -420,6 +426,50 @@ class TestIsomorphism:
     def test_c6_is_c2_x_c3(self):
         assert group_isomorphism(cyclic(6),
                                  direct_product_group(cyclic(2), cyclic(3))) is not None
+
+
+def tried_image_tuples(G, H):
+    """The generator image tuples _isomorphisms tries: images of equal element order."""
+    gens = G.generators()
+    orders_G, orders_H = G._orders(), H._orders()
+    return gens, itertools.product(*[[h for h in H.elements() if orders_H[h] == orders_G[g]]
+                                     for g in gens])
+
+
+class TestHomFromGeneratorImages:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_matches_the_pairwise_check_on_catalog_pairs(self, n):
+        for e1, e2 in itertools.product(groups_of_order(n), repeat=2):
+            G, H = e1.group, e2.group
+            gens, tuples = tried_image_tuples(G, H)
+            for images in tuples:
+                assert groups._hom_from_generator_images(G, H, gens, images) == \
+                    reference_hom_from_generator_images(G, H, gens, images), (e1.name, e2.name)
+
+    def test_matches_the_pairwise_check_on_a5(self):
+        G = alternating_5()
+        gens, tuples = tried_image_tuples(G, G)
+        found = 0
+        for images in tuples:
+            f = groups._hom_from_generator_images(G, G, gens, images)
+            assert f == reference_hom_from_generator_images(G, G, gens, images)
+            found += f is not None
+        assert found == 120
+
+    def test_dropped_generator_gives_none(self):
+        # C2 with no generators maps to [0, None]: one element short, yet a set of size 2
+        assert groups._hom_from_generator_images(cyclic(2), cyclic(2), (), ()) is None
+        dropped = 0
+        for n in range(2, 16):
+            for entry in groups_of_order(n):
+                G = entry.group
+                gens = G.generators()
+                for k in range(len(gens)):
+                    rest = gens[:k] + gens[k + 1:]
+                    if len(G.closure(rest)) < n:
+                        assert groups._hom_from_generator_images(G, G, rest, rest) is None
+                        dropped += 1
+        assert dropped > 0
 
 
 def simple_by_every_element(G):

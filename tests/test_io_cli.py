@@ -204,6 +204,22 @@ class TestCliEnumerate:
         assert rc == 0
         assert "oracle agrees: 4 classes" in capsys.readouterr().out
 
+    def test_oracle_check_keeps_stdout_json_lines(self, capsys):
+        assert main(["enumerate", "--order", "4", "--oracle-check"]) == 0
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert len(lines) == 4 and all(isinstance(json.loads(line), dict) for line in lines)
+        assert out.err == "order 4: 4 classes\noracle agrees: 4 classes\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_oracle_bound_checked_before_the_census(self, tmp_path, capsys, to_file):
+        out = tmp_path / "c.jsonl"
+        argv = ["enumerate", "--order", "7", "--oracle-check"]
+        assert main(argv + (["--out", str(out)] if to_file else [])) == cli.EXIT_BOUND
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
     def test_catalog_missing_exit_code(self):
         assert main(["enumerate", "--order", "16"]) == 2
 
@@ -368,6 +384,14 @@ class TestCliDecompose:
         src = write(tmp_path, "flip6.json",
                     jsonio.solution_to_json(flip_solution(6)))
         assert main(["decompose", src]) == 3
+
+    @pytest.mark.parametrize("mode", [[], ["--partition", "singletons"]])
+    def test_solution_on_no_points_refused(self, tmp_path, capsys, mode):
+        src = write(tmp_path, "empty.json", {"lambda": [], "rho": []})
+        assert main(["decompose", src, *mode]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation failed: {Degenerate('table shape', 0)}\n"
 
     @pytest.mark.parametrize("text", ["5", '["lambda", "rho"]'])
     def test_non_object_exit_code(self, tmp_path, capsys, text):

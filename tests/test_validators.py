@@ -85,7 +85,7 @@ def braid_scan(lambda_tab, rho_tab):
     """Reference for validate_solution: bijectivity of every row, then
     r12 r23 r12 = r23 r12 r23 on every triple in lexicographic order."""
     m = len(lambda_tab)
-    if len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
+    if m == 0 or len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
             or any(len(r) != m for r in rho_tab):
         raise Degenerate("table shape", m)
     for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):

@@ -95,6 +95,11 @@ class TestValidateSolution:
         s = flip_solution(3)
         assert validate_solution(s.lambda_tab, s.rho_tab).is_flip
 
+    def test_no_points_degenerate(self):
+        # a group table needs its identity, and a solution needs a point
+        with pytest.raises(Degenerate):
+            validate_solution([], [])
+
     def test_constant_row_degenerate(self):
         bad = ((0, 0, 0), (0, 1, 2), (0, 1, 2))
         good = tuple(tuple(range(3)) for _ in range(3))
