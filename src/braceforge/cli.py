@@ -157,7 +157,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     data = jsonio.read_object(args.input)
-    if "lambda" in data and "rho" in data:
+    if "lambda" in data or "rho" in data:
         solution = jsonio.load_solution_data(data)
         if args.partition == "singletons":
             partition = singletons_partition(solution.ground())

@@ -104,9 +104,12 @@ class SeriesInvalid(BraceforgeError):
 
 
 class Degenerate(BraceforgeError):
-    def __init__(self, which: str, index: int):
+    """A solution's tables are empty or not m x m, or one of their rows is not a bijection."""
+
+    def __init__(self, which: str, index: int, shape: str = ""):
         self.which, self.index = which, index
-        super().__init__(f"{which} map at index {index} is not a bijection")
+        super().__init__(f"{which}: {shape}" if shape
+                         else f"{which} map at index {index} is not a bijection")
 
 
 class BraidFailed(BraceforgeError):

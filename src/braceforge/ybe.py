@@ -4,6 +4,23 @@ A solution on m points is the pair of index tables of
 r(x, y) = (lambda_x(y), rho_y(x)).  `validate_solution` decides the braid
 relation and non-degeneracy exactly, where a solution enters from outside;
 the solution of a brace has both by theorem and is built without them.
+
+The braid relation is decided by Soloviev's criterion (Non-unitary
+set-theoretical solutions to the quantum Yang-Baxter equation, Math. Res.
+Lett. 7, 2000).  With sigma_y(x) = lambda_y(rho_{lambda_x^-1(y)}(x)), the
+second output of J r J^-1 for J(x, y) = (x, lambda_x(y)), a map whose
+lambda_x are bijections satisfies r12 r23 r12 = r23 r12 r23 exactly when
+
+  (1) lambda_x lambda_y = lambda_{lambda_x(y)} lambda_{rho_y(x)},
+  (2) sigma_z sigma_y = sigma_{sigma_z(y)} sigma_z,
+  (3) lambda_x sigma_z = sigma_{lambda_x(z)} lambda_x
+
+for all points.  (1) is the first output of the braid relation.  Given (1),
+conjugating by the bijection J3(x, y, z) = (x, lambda_x(y),
+lambda_x lambda_y(z)) turns r12 into (x, y, z) -> (y, sigma_y(x), z); then
+the middle output of the conjugated relation is (3), and given (3) the last
+output is (2).
+
 Decomposition witnesses are nested chains of subsets with coset
 partitions.  The block swaps of a series' cosets are checked once
 per (brace, series) on the whole carrier; every r-closed subset inherits
@@ -14,6 +31,7 @@ re-checks every clause of any witness.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -67,22 +85,29 @@ class Solution:
 
 def validate_solution(lambda_tab: Sequence[Sequence[int]],
                       rho_tab: Sequence[Sequence[int]]) -> Solution:
-    """Check bijectivity of every component map and the braid relation.
+    """Check the shape, bijectivity of every component map and the braid relation.
 
     A solution needs at least one point, as a group table needs its identity:
-    empty tables raise Degenerate.
+    empty tables raise Degenerate, as do tables that are not m x m.
 
-    The braid relation r12 r23 r12 = r23 r12 r23 is decided exactly, for each
-    pair (x, y), on whole rows over z: each of the three output components
-    of both sides is one composition of table rows or one gather of entries
-    from a table, and the two sides are compared as tuples.  When a pair
-    fails, the scan over all m^3 triples names the first witness, so a
-    rejection reports the same BraidFailed as a full scan.
+    The braid relation is accepted by identities (1)-(3) of the module
+    docstring, exact for a map whose rows are bijections, compared as whole
+    rows of composed permutations (`_braid_criterion`).  Only a rejection
+    runs the per-pair row test and the scan over z, which name the
+    lexicographically first failing triple, so a rejection reports the same
+    BraidFailed as a scan over all m^3 triples.  When the criterion fails and
+    the row test finds no failing pair, InternalInvariant is raised.
     """
     m = len(lambda_tab)
-    if m == 0 or len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
-            or any(len(r) != m for r in rho_tab):
-        raise Degenerate("table shape", m)
+    if m == 0:
+        raise Degenerate("table shape", 0, "empty table")
+    for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
+        if len(tab) != m:
+            raise Degenerate("table shape", len(tab), f"{which} has {len(tab)} rows, not {m}")
+        for x, row in enumerate(tab):
+            if len(row) != m:
+                raise Degenerate("table shape", x,
+                                 f"{which} row {x} has {len(row)} entries, not {m}")
     full = set(range(m))
     for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
         for x, row in enumerate(tab):
@@ -92,16 +117,62 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
                 raise Degenerate(which, x)
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
-    held = _braid_holds(lam, rho)
-    if held < m * m:
+    if not _braid_criterion(lam, rho):
+        held = _braid_holds(lam, rho)
+        if held == m * m:
+            raise InternalInvariant("the braid criterion failed but every pair of rows holds")
         _braid_scan(lam, rho, *divmod(held, m))
     return Solution(m, lam, rho)
+
+
+def _braid_criterion(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether identities (1)-(3) of the module docstring hold; lambda's rows are bijections.
+
+    (1) and (2) each compare compositions of two rows of one table of m
+    permutations (`_products_agree`); (3) gathers both sides for each x as
+    rows over z.  Every composition is one `operator.itemgetter` gather.
+    """
+    m = len(lam)
+    if m < 2:
+        return True  # the only bijective tables on one point are the flip
+    # sig[y][x] = sigma_y(x): row x of rho's transpose, rho_t[x][y] = rho_y(x),
+    # is read through lambda_x^-1 (the points sorted by their lambda_x
+    # image), then column y of the result through lambda_y
+    inverses = (sorted(range(m), key=row.__getitem__) for row in lam)
+    sig = tuple(map(compose, lam, zip(*map(compose, zip(*rho), inverses))))
+    if not _products_agree(lam, rho, tuple(zip(*lam))):
+        return False
+    if not _products_agree(sig, itertools.repeat(range(m)), tuple(zip(*sig))):
+        return False
+    # (3) for each x as rows over z: h(lam_x) is lambda_x o sigma_z, and g,
+    # which reads through lambda_x, lists the rows sigma_{lambda_x(z)} as
+    # g(sig) and turns each row into row o lambda_x
+    after_sig = [operator.itemgetter(*row) for row in sig]
+    for lam_x in lam:
+        g = operator.itemgetter(*lam_x)
+        if [h(lam_x) for h in after_sig] != list(map(g, g(sig))):
+            return False
+    return True
+
+
+def _products_agree(rows: Sequence[tuple[int, ...]], first: Iterable[Sequence[int]],
+                    second: Sequence[Sequence[int]]) -> bool:
+    """Whether rows[x] o rows[y] == rows[second[y][x]] o rows[first[y][x]] for all x, y.
+
+    The m^2 compositions are built once, as table[y][x] = rows[x] o rows[y],
+    and each side is a row of that table or one gathered from it.
+    """
+    table = [list(map(operator.itemgetter(*row), rows)) for row in rows]
+    get = operator.getitem
+    return all(products == list(map(get, operator.itemgetter(*f)(table), s))
+               for products, f, s in zip(table, first, second))
 
 
 def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> int:
     """How many pairs (x, y), in lexicographic order, pass before the first that fails.
 
-    m^2 when the braid relation holds on all m^3 triples.  It is decided per
+    Run only when `_braid_criterion` rejects, to name the failing pair; m^2
+    when the braid relation holds on all m^3 triples.  It is decided per
     (x, y) on three rows over z, so the first failing pair is the pair of the
     lexicographically first failing triple.
 

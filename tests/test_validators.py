@@ -1,14 +1,16 @@
 """The group, brace and braid validators against the full scans they replaced.
 
-validate_group, validate_brace and validate_solution prove their laws on
-generators and whole rows, and run a lexicographic scan only to name the
-first witness of a rejection.  The scans over every triple are kept here as
+validate_group and validate_brace prove their laws on generators and whole
+rows, validate_solution the braid relation by three identities between
+permutations, and each runs a lexicographic scan only to name the first
+witness of a rejection.  The scans over every triple are kept here as
 the references assoc_scan, brace_law_scan and braid_scan.  On every input
 each validator must reach the reference's verdict: the same tables when it
 accepts, and the same exception type, message, witness and cause type when it
 rejects.
 """
 
+import itertools
 import json
 import random
 
@@ -82,12 +84,10 @@ def brace_law_scan(add_table, mul_table):
 
 
 def braid_scan(lambda_tab, rho_tab):
-    """Reference for validate_solution: bijectivity of every row, then
-    r12 r23 r12 = r23 r12 r23 on every triple in lexicographic order."""
+    """Reference for validate_solution on two m x m tables, m >= 1: bijectivity
+    of every row, then r12 r23 r12 = r23 r12 r23 on every triple in
+    lexicographic order."""
     m = len(lambda_tab)
-    if m == 0 or len(rho_tab) != m or any(len(r) != m for r in lambda_tab) \
-            or any(len(r) != m for r in rho_tab):
-        raise Degenerate("table shape", m)
     for which, tab in (("lambda", lambda_tab), ("rho", rho_tab)):
         for x, row in enumerate(tab):
             if any(type(v) is not int for v in row) or set(row) != set(range(m)):
@@ -239,6 +239,47 @@ class TestDifferential:
             seen.append(got)
         assert "BraidFailed" in kinds(seen)
 
+    def test_every_map_with_bijective_rows_on_up_to_three_points(self):
+        seen = []
+        for m in (1, 2, 3):
+            tables = list(itertools.product(itertools.permutations(range(m)), repeat=m))
+            for lam in tables:
+                for rho in tables:
+                    got = solution_verdict(lam, rho)
+                    assert got == verdict(lambda: braid_scan(lam, rho)), (lam, rho)
+                    seen.append(got[0])
+        assert len(seen) == 1 + 16 + 46656
+        assert set(seen) == {"ok", "BraidFailed"}
+
+    def test_seeded_maps_on_four_to_six_points(self):
+        # random rows; r(x, y) = (f(y), g(x)), a solution exactly when f and g
+        # commute; and relabelled census solutions, half with two entries of
+        # one row swapped
+        rng = random.Random(13)
+        small = [B for B in CENSUS if 4 <= B.order <= 6]
+        seen = []
+        for _ in range(400):
+            m = rng.randrange(4, 7)
+            perms = [tuple(rng.sample(range(m), m)) for _ in range(2 * m)]
+            lam, rho = perms[:m], perms[m:]
+            f, g = perms[0], rng.choice([perms[1], compose(perms[0], perms[0])])
+            S = solution_from_brace(rng.choice(small))
+            tau = rng.sample(range(S.size), S.size)
+            back = [tau.index(v) for v in range(S.size)]
+            # tau r (tau^-1 x tau^-1): lambda'_x(y) = tau(lambda_{tau^-1 x}(tau^-1 y))
+            lam2 = [[tau[S.lambda_tab[back[x]][back[y]]] for y in range(S.size)]
+                    for x in range(S.size)]
+            rho2 = [[tau[S.rho_tab[back[y]][back[x]]] for x in range(S.size)]
+                    for y in range(S.size)]
+            if rng.random() < 0.5:
+                lam2, rho2 = (row_swap(rng, lam2), rho2) if rng.random() < 0.5 \
+                    else (lam2, row_swap(rng, rho2))
+            for lam, rho in ((lam, rho), ([f] * m, [g] * m), (lam2, rho2)):
+                got = solution_verdict(lam, rho)
+                assert got == verdict(lambda: braid_scan(lam, rho)), (lam, rho)
+                seen.append(got)
+        assert {"ok", "BraidFailed"} <= kinds(seen)
+
     def test_single_entries_replaced_and_rows_swapped(self):
         rng = random.Random(12)
         seen = []
@@ -276,7 +317,7 @@ KERNELS = pytest.mark.parametrize("module, kernel", [
     (groups, "_is_latin_with_identity"),
     (groups, "_light_associative"),
     (braces, "_lambda_additive"),
-    (ybe, "_braid_holds"),
+    (ybe, "_braid_criterion"),
 ])
 
 
@@ -298,3 +339,14 @@ def test_kernel_that_rejects_a_valid_input_is_an_internal_error(monkeypatch, tmp
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main([command, str(path)]) == cli.EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("internal error: ")
+
+
+def test_valid_solutions_never_run_the_rejection_kernels(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rejection kernel ran on a valid solution")
+
+    monkeypatch.setattr(ybe, "_braid_holds", refuse)
+    monkeypatch.setattr(ybe, "_braid_scan", refuse)
+    for B in CENSUS:
+        S = solution_from_brace(B)
+        assert validate_solution(S.lambda_tab, S.rho_tab) == S

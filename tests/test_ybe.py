@@ -97,8 +97,18 @@ class TestValidateSolution:
 
     def test_no_points_degenerate(self):
         # a group table needs its identity, and a solution needs a point
-        with pytest.raises(Degenerate):
+        with pytest.raises(Degenerate, match="^table shape: empty table$"):
             validate_solution([], [])
+
+    @pytest.mark.parametrize("lam, rho, message", [
+        ([[0, 1], [1, 0]], [[0, 1]], "rho has 1 rows, not 2"),
+        ([[0, 1], [1]], [[0, 1], [1, 0]], "lambda row 1 has 1 entries, not 2"),
+        ([[0, 1], [1, 0]], [[0, 1, 2], [1, 0]], "rho row 0 has 3 entries, not 2"),
+    ])
+    def test_mis_shaped_tables_name_their_shape(self, lam, rho, message):
+        with pytest.raises(Degenerate) as info:
+            validate_solution(lam, rho)
+        assert str(info.value) == f"table shape: {message}"
 
     def test_constant_row_degenerate(self):
         bad = ((0, 0, 0), (0, 1, 2), (0, 1, 2))
