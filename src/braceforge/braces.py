@@ -132,6 +132,15 @@ def validate_brace(add_table: Sequence[Sequence[int]],
         mul = validate_group(mul_table)
     except GroupValidationError as exc:
         raise GroupInvalid("mul", exc) from exc
+    return _brace_of_groups(add, mul)
+
+
+def _brace_of_groups(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:
+    """The brace on two validated groups, once their orders match and the law holds.
+
+    validate_brace's check of the compatibility law, shared with callers that
+    validate the additive group once for many product tables.
+    """
     if add.order != mul.order:
         raise GroupInvalid("mul", NoOrderMatch(add.order, mul.order))
     lam = _lambda_table(add, mul)

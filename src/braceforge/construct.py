@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import catalog
-from .braces import SkewBrace, is_isomorphic, validate_brace
+from .braces import SkewBrace, _brace_of_groups, is_isomorphic, validate_brace
 from .errors import (
     BraceAxiomFailed,
     GroupInvalid,
+    GroupValidationError,
     InternalInvariant,
     NotRegular,
 )
@@ -30,8 +32,10 @@ from .groups import (
     check_bound,
     compose,
     group_isomorphism,
+    holomorph_bound,
     pair_pool,
     regular_subgroups,
+    validate_group,
 )
 
 ORACLE_MAX_ORDER = 6
@@ -55,6 +59,12 @@ class CensusEntry:
 
 def brace_from_regular_subgroup(G: FiniteGroup, H: RegularSubgroup) -> SkewBrace:
     """The brace with additive group G and bc = b + phi_b(c); fully re-validated."""
+    _check_pairs(G, H)
+    return _brace_on(G, H.multiplication_table())
+
+
+def _check_pairs(G: FiniteGroup, H: RegularSubgroup) -> None:
+    """Raise NotRegular unless H lives over G and every phi_g permutes G."""
     if H.group is not G and H.group.table != G.table:
         raise NotRegular("subgroup does not live over the given group")
     if len(H.assignment) != G.order:
@@ -64,7 +74,10 @@ def brace_from_regular_subgroup(G: FiniteGroup, H: RegularSubgroup) -> SkewBrace
     for g in G.elements():
         if len(H.perm(g)) != G.order or set(H.perm(g)) != carrier:
             raise NotRegular(f"phi_{g} is not a permutation of the carrier")
-    mul = H.multiplication_table()
+
+
+def _brace_on(G: FiniteGroup, mul: Sequence[Sequence[int]]) -> SkewBrace:
+    """validate_brace on G's table and a subgroup's product table, as NotRegular on failure."""
     try:
         return validate_brace(G.table, mul)
     except (GroupInvalid, BraceAxiomFailed) as exc:
@@ -80,9 +93,12 @@ def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:
     return None, None
 
 
-def _census_entry(G: FiniteGroup, H: RegularSubgroup, add_id: int | None,
-                  add_name: str | None) -> CensusEntry:
-    brace = brace_from_regular_subgroup(G, H)
+def _census_entry(G: FiniteGroup, H: RegularSubgroup, mul: tuple[tuple[int, ...], ...],
+                  add_id: int | None, add_name: str | None) -> CensusEntry:
+    """The census entry of H from its product table mul, validated as brace_from_regular_subgroup
+    validates; the lambda check below ties mul to H."""
+    _check_pairs(G, H)
+    brace = _brace_on(G, mul)
     if brace.lam != tuple(H.perm(g) for g in G.elements()):
         raise InternalInvariant("lambda maps differ from the defining subgroup")
     mul_id, mul_name = _identify_group(brace.mul)
@@ -92,19 +108,21 @@ def _census_entry(G: FiniteGroup, H: RegularSubgroup, add_id: int | None,
 def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
     """One fully validated entry per regular subgroup of Hol(G), canonically ordered."""
     add_id, add_name = _identify_group(G)
-    return [_census_entry(G, H, add_id, add_name) for H in regular_subgroups(G, "holomorph")]
+    return [_census_entry(G, H, H.multiplication_table(), add_id, add_name)
+            for H in regular_subgroups(G, "holomorph")]
 
 
-def _orbit_representatives(G: FiniteGroup,
-                            raw: list[RegularSubgroup]) -> list[RegularSubgroup]:
-    """One member of each Aut(G)-orbit of the raw regular subgroups over G.
+def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
+                           ) -> list[tuple[tuple[tuple[int, ...], ...], RegularSubgroup]]:
+    """One member of each Aut(G)-orbit of the raw regular subgroups over G, with its product table.
 
     alpha in Aut(G) acts by alpha.(g, phi_g) = (alpha(g), alpha phi_g alpha^-1),
     which relabels the brace by the additive automorphism alpha; so the orbits
     are the isomorphism classes of braces over G.  The raw subgroups are walked
     in sorted order, and at the first one not yet seen its whole orbit is
     marked seen and the member with the least product table is kept.
-    Returned in the order of their product tables.
+    Returned as (product table, member) pairs in the order of their tables,
+    each table built once.
 
     The least table is found without building one per member.  Row g of the
     table is G.table[g] composed with phi_g, so it depends on the assignment
@@ -154,7 +172,7 @@ def _orbit_representatives(G: FiniteGroup,
     if covered != len(raw):
         raise InternalInvariant(f"orbit sizes sum to {covered}, not to the "
                                 f"{len(raw)} raw regular subgroups")
-    return sorted(kept, key=RegularSubgroup.multiplication_table)
+    return sorted([(H.multiplication_table(), H) for H in kept], key=lambda pair: pair[0])
 
 
 def enumerate_braces(n: int, *,
@@ -180,8 +198,8 @@ def enumerate_braces(n: int, *,
     for gid, gname, G in named:
         if G.order != n:
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
-        for H in _orbit_representatives(G, regular_subgroups(G, "holomorph")):
-            census.append(_census_entry(G, H, gid, gname))
+        for mul, H in _orbit_representatives(G, regular_subgroups(G, "holomorph")):
+            census.append(_census_entry(G, H, mul, gid, gname))
     return census
 
 
@@ -190,19 +208,21 @@ def oracle_enumerate_braces(n: int) -> list[SkewBrace]:
 
     A candidate map defines bc = b + lambda_b(c); tables that form a group
     satisfying the brace law are kept and deduplicated by pairwise
-    isomorphism search.  Deliberately brute force.
+    isomorphism search.  Deliberately brute force.  Each catalog group is
+    validated once; each candidate's product table is validated and checked
+    against the brace law as validate_brace does.
     """
     check_bound("oracle order", n, ORACLE_MAX_ORDER)
     found: list[SkewBrace] = []
     for entry in catalog.groups_of_order(n):
-        G = entry.group
+        G = validate_group(entry.group.table)
         auts = automorphism_group(G)
         for choice in itertools.product(range(len(auts)), repeat=n):
             mul = [[G.table[b][auts[choice[b]][c]] for c in G.elements()]
                    for b in G.elements()]
             try:
-                brace = validate_brace(G.table, mul)
-            except (GroupInvalid, BraceAxiomFailed):
+                brace = _brace_of_groups(G, validate_group(mul))
+            except (GroupValidationError, BraceAxiomFailed):
                 continue
             if not any(b.add.table == brace.add.table
                        and is_isomorphic(b, brace) is not None for b in found):
@@ -213,20 +233,54 @@ def oracle_enumerate_braces(n: int) -> list[SkewBrace]:
 def simple_inner_regular_subgroups(G: FiniteGroup) -> list[RegularSubgroup]:
     """Regular subgroups of the inner sub-holomorph of G isomorphic to G.
 
-    G must be simple and non-abelian.  For such G these are exactly two:
-    the all-identity assignment and g -> conjugation by g^{-1}.  A subgroup
-    whose element-order histogram, read off its pairs, differs from G's is
-    not isomorphic to G: RegularSubgroup.fits_histogram counts down from G's
-    histogram and rejects at the first order with no count left.  Only the
-    others get a product table, which is Latin-checked and tested by
-    group_isomorphism.
+    G must be simple and non-abelian; these are then exactly two: the
+    all-identity assignment and g -> conjugation by g^-1.  They are found
+    through Aut(G) instead of a search of the ambient.  Since Z(G) = 1, the
+    map (g, iota_c) -> (gc, c) is an isomorphism from G x| Inn(G) onto
+    G x G.  For a subgroup H isomorphic to G, the kernel of each projection
+    is normal in the simple H, so it is trivial or all of H.  H is
+    therefore G x 1 (every phi_g the identity), or {(c^-1, iota_c)}, or,
+    with both projections injective, the preimage of the graph
+    {(f(c), c)} of some f in Aut(G): {(f(c) c^-1, iota_c)}, which is
+    regular exactly when c -> f(c) c^-1 is a bijection.  Every f is tried.
+
+    Every candidate keeps its certificates, each failure raising
+    InternalInvariant: its product table is Latin-checked by
+    _group_unchecked, the pairs are closed under right products by the
+    table's generators, which makes them a subgroup, and group_isomorphism
+    finds an isomorphism onto G.  The pool is the sorted list of inner
+    automorphisms that regular_subgroups(G, "inner") indexes, and the
+    subgroups come in the order of their assignments, as there.
     """
     assert_simple_nonabelian(G)
-    target_hist = G.order_histogram()
+    # Z(G) = 1, so |Inn(G)| = |G|: the ambient's order is checked before any work
+    check_bound("ambient sub-holomorph order", G.order * G.order, holomorph_bound())
+    table, inverse, n = G.table, G.inverse, G.order
+    columns = list(zip(*table))  # columns[d] is x -> xd, so iota_c is columns[c^-1] . row c
+    inner = [compose(columns[inverse[c]], table[c]) for c in G.elements()]
+    pool = tuple(sorted(inner))
+    index = {p: i for i, p in enumerate(pool)}
+    iota = [index[p] for p in inner]  # the pool index of conjugation by c
+    candidates = [tuple(iota[0] for _ in G.elements()),
+                  tuple(iota[inverse[g]] for g in G.elements())]
+    for f in automorphism_group(G):
+        assignment: list[int | None] = [None] * n
+        for c in G.elements():
+            assignment[table[f[c]][inverse[c]]] = iota[c]
+        if None not in assignment:
+            candidates.append(tuple(assignment))  # type: ignore[arg-type]
     out = []
-    for H in regular_subgroups(G, "inner"):
-        if not H.fits_histogram(target_hist):
-            continue
-        if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None:
-            out.append(H)
+    for assignment in sorted(candidates):
+        H = RegularSubgroup(G, pool, assignment)
+        try:
+            T = _group_unchecked(H.multiplication_table())
+        except GroupValidationError as exc:
+            raise InternalInvariant(f"a candidate's product table is not Latin: {exc}") from exc
+        phi = [pool[a] for a in assignment]
+        if any(phi[row[s]] != compose(phi[x], phi[s])
+               for s in T.generators() for x, row in enumerate(T.table)):
+            raise InternalInvariant("a candidate's pairs are not closed under the product")
+        if group_isomorphism(T, G) is None:
+            raise InternalInvariant("a candidate regular subgroup is not isomorphic to G")
+        out.append(H)
     return out

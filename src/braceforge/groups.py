@@ -427,15 +427,34 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
                   sig_H: Sequence) -> Iterator[Perm]:
     """Every isomorphism G -> H that preserves the element signatures sig_G, sig_H.
 
-    Tries each image of G.generators() among the elements of H with the
-    generator's signature, in lexicographic order of the image tuple.
+    Tries each image of an irredundant generating set of G among the elements
+    of H with the generator's signature, in lexicographic order of the image
+    tuple.  Each generator multiplies the number of tuples by the size of its
+    candidate list, and the image of one that the others generate is fixed by
+    theirs, so such generators are dropped first (see _irredundant).
     """
-    gens = G.generators()
+    gens = _irredundant(G, G.generators())
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
     for images in itertools.product(*candidates):
         f = _hom_from_generator_images(G, H, gens, images)
         if f is not None:
             yield f
+
+
+def _irredundant(G: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:
+    """gens less each generator, first to last, that the generators still kept generate.
+
+    A generator is dropped only when it lies in the closure of the others, so
+    the kept ones still generate what gens did.  Greedy generating sets grow
+    by index and often carry such a generator: on some relabellings of A5,
+    generating_set returns three.
+    """
+    kept = list(gens)
+    for g in gens:
+        rest = [h for h in kept if h != g]
+        if g in G.closure(rest):
+            kept = rest
+    return tuple(kept)
 
 
 def automorphism_group(G: FiniteGroup) -> list[Perm]:
@@ -582,28 +601,6 @@ class RegularSubgroup:
         G = self.group
         return tuple(tuple(map(G.table[g].__getitem__, self.perm(g))) for g in G.elements())
 
-    def fits_histogram(self, hist: Sequence[tuple[int, int]]) -> bool:
-        """Whether the product law has the element-order histogram hist, read off the pairs.
-
-        hist is (order, count) pairs, as FiniteGroup.order_histogram gives.
-        The powers of (g, phi_g) are the pairs (x, phi_x) with
-        x <- x . phi_x(g), so no product table is built.  Counts go down from
-        hist, and the first element whose order has no count left decides False.
-        """
-        left = dict(hist)
-        table = self.group.table
-        phis = [self.pool[a] for a in self.assignment]
-        for g in self.group.elements():
-            x, k = g, 1
-            while x != 0:
-                x = table[x][phis[x][g]]
-                k += 1
-            count = left.get(k, 0)
-            if not count:
-                return False
-            left[k] = count - 1
-        return not any(left.values())
-
 
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
     """Every regular subgroup of the chosen ambient, canonically ordered.
@@ -702,7 +699,12 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
 
 
 def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Perm | None:
-    """An isomorphism G1 -> G2 as a permutation, or None."""
+    """An isomorphism G1 -> G2 as a permutation, or None.
+
+    Element-order histograms are compared first.  The isomorphism returned is
+    the first that _isomorphisms finds, so which one it is depends on the
+    generating set searched; use it as a witness of existence.
+    """
     check_bound("group order", G1.order, enumeration_bound())
     if G1.order != G2.order or G1.order_histogram() != G2.order_histogram():
         return None

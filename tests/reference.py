@@ -4,8 +4,20 @@ Import as `from reference import ...`: the `pythonpath` setting of pytest in
 pyproject.toml puts this directory on sys.path.
 """
 
+import itertools
+import random
+
 from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_brace
-from braceforge.groups import FiniteGroup, compose, _ambient_perms
+from braceforge.groups import (
+    FiniteGroup,
+    _ambient_perms,
+    _group_unchecked,
+    _hom_from_generator_images,
+    compose,
+    group_isomorphism,
+    regular_subgroups,
+    validate_group,
+)
 from braceforge.ybe import make_partition
 
 
@@ -46,6 +58,42 @@ def reference_hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens, im
             if mapping[G.table[a][b]] != H.table[ma][mapping[b]]:
                 return None
     return tuple(mapping)
+
+
+# seeds of relabelled_group(alternating_5(), seed); on 4 and 11 generating_set returns three generators
+A5_SEEDS = (1, 2, 3, 4, 11)
+
+
+def relabelled_group(G: FiniteGroup, seed: int) -> FiniteGroup:
+    """G relabelled by a seeded permutation that fixes 0, validated afresh."""
+    rest = list(range(1, G.order))
+    random.Random(seed).shuffle(rest)
+    p = [0] + rest
+    out = [[0] * G.order for _ in G.elements()]
+    for a in G.elements():
+        for b in G.elements():
+            out[p[a]][p[b]] = p[G.table[a][b]]
+    return validate_group(out)
+
+
+def reference_isomorphisms(G: FiniteGroup, H: FiniteGroup):
+    """Every isomorphism G -> H, sorted: every image tuple of the whole greedy
+    G.generators(), none dropped, among the elements of equal order.
+
+    Each tuple goes through _hom_from_generator_images, which the tests hold to
+    the pairwise check of reference_hom_from_generator_images."""
+    gens = G.generators()
+    orders_G, orders_H = G._orders(), H._orders()
+    candidates = [[h for h in H.elements() if orders_H[h] == orders_G[g]] for g in gens]
+    found = (_hom_from_generator_images(G, H, gens, images)
+             for images in itertools.product(*candidates))
+    return sorted(f for f in found if f is not None)
+
+
+def reference_simple_inner_regular_subgroups(G: FiniteGroup):
+    """The exhaustive search of G's inner sub-holomorph, filtered to the subgroups isomorphic to G."""
+    return [H for H in regular_subgroups(G, "inner")
+            if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None]
 
 
 def brute_comp(perms):

@@ -16,13 +16,18 @@ from braceforge.construct import (
 from braceforge.errors import BoundExceeded, InternalInvariant, NotRegular, NotSimple
 from braceforge.groups import (
     RegularSubgroup,
-    _group_unchecked,
     automorphism_group,
     compose,
     identity_perm,
     regular_subgroups,
 )
-from reference import invert, is_automorphism
+from reference import (
+    A5_SEEDS,
+    invert,
+    is_automorphism,
+    reference_simple_inner_regular_subgroups,
+    relabelled_group,
+)
 
 # class counts for n <= 6 were produced by oracle_enumerate_braces and are
 # pinned here as regression values; 7 and 8 come from the holomorph route
@@ -234,12 +239,13 @@ class TestOrbitRepresentatives:
             G = entry.group
             raw = regular_subgroups(G)
             got = construct._orbit_representatives(G, raw)
-            assert [H.assignment for H in got] == \
+            assert all(mul == H.multiplication_table() for mul, H in got), entry.name
+            assert [H.assignment for _, H in got] == \
                 [H.assignment for H in least_table_members(G, raw)], entry.name
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_builds_no_table_per_raw_subgroup(self, monkeypatch, n):
-        # one table per class for the final sort and one for the brace, none per orbit member
+        # the sort's table is the brace's: none per orbit member, none built twice
         calls = []
         table = RegularSubgroup.multiplication_table
 
@@ -249,7 +255,7 @@ class TestOrbitRepresentatives:
 
         monkeypatch.setattr(RegularSubgroup, "multiplication_table", counting)
         classes = len(enumerate_braces(n))
-        assert len(calls) <= 2 * classes
+        assert len(calls) == classes
 
 
 class TestOracle:
@@ -260,6 +266,18 @@ class TestOracle:
     def test_bound(self):
         with pytest.raises(BoundExceeded):
             oracle_enumerate_braces(7)
+
+    def test_validates_each_group_once_and_every_candidate(self, monkeypatch):
+        calls = []
+
+        def counting(table):
+            calls.append(table)
+            return groups.validate_group(table)
+
+        monkeypatch.setattr(construct, "validate_group", counting)
+        oracle_enumerate_braces(4)
+        assert len(calls) == sum(1 + len(automorphism_group(e.group)) ** 4
+                                 for e in groups_of_order(4))
 
     def test_matches_census_order_four(self):
         oracle = oracle_enumerate_braces(4)
@@ -275,26 +293,41 @@ class TestSimpleInnerRegularSubgroups:
         with pytest.raises(NotSimple):
             simple_inner_regular_subgroups(cyclic(7))
 
-    def test_order_histogram_read_off_the_pairs(self):
-        # every inner regular subgroup of A5, not only the two the filter keeps
-        G = alternating_5()
-        target = G.order_histogram()
-        subs = regular_subgroups(G, "inner")
-        assert len(subs) == 62
-        kept = 0
-        for H in subs:
-            hist = _group_unchecked(H.multiplication_table()).order_histogram()
-            assert H.fits_histogram(hist)
-            assert H.fits_histogram(target) == (hist == target)
-            kept += hist == target
-        assert 2 <= kept < 62
+    def test_matches_the_exhaustive_inner_search(self):
+        # the same pool, assignments and order as the search of all 62 inner regular subgroups
+        a5 = alternating_5()
+        assert len(regular_subgroups(a5, "inner")) == 62
+        relabellings = [relabelled_group(a5, seed) for seed in A5_SEEDS]
+        assert any(len(G.generators()) == 3 for G in relabellings)
+        for G in [a5] + relabellings:
+            got = simple_inner_regular_subgroups(G)
+            want = reference_simple_inner_regular_subgroups(G)
+            assert [(H.pool, H.assignment) for H in got] == \
+                [(H.pool, H.assignment) for H in want]
+            assert len(got) == 2
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_fits_histogram_decides_as_the_table_histogram(self, n):
-        for entry in groups_of_order(n):
-            G = entry.group
-            target = G.order_histogram()
-            for H in regular_subgroups(G):
-                hist = _group_unchecked(H.multiplication_table()).order_histogram()
-                assert H.fits_histogram(hist)
-                assert H.fits_histogram(target) == (hist == target)
+    def test_failed_isomorphism_raises(self, monkeypatch):
+        monkeypatch.setattr(construct, "group_isomorphism", lambda G1, G2: None)
+        with pytest.raises(InternalInvariant, match="not isomorphic"):
+            simple_inner_regular_subgroups(alternating_5())
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # a group table isomorphic to A5, but on the conjugation candidate
+        # phi at x*s is then not phi_x phi_s
+        (lambda t: tuple(zip(*t)), "not closed under the product"),
+        (lambda t: (t[0],) * len(t), "not Latin"),
+    ])
+    def test_failed_table_certificate_raises(self, monkeypatch, corrupt, message):
+        table = RegularSubgroup.multiplication_table
+        monkeypatch.setattr(RegularSubgroup, "multiplication_table", lambda H: corrupt(table(H)))
+        with pytest.raises(InternalInvariant, match=message):
+            simple_inner_regular_subgroups(alternating_5())
+
+    def test_ambient_bound_checked_before_any_work(self, monkeypatch):
+        def no_work(G):
+            raise AssertionError("Aut(G) computed before the bound check")
+
+        monkeypatch.setattr(groups, "DEFAULT_HOLOMORPH_BOUND", 60 * 60 - 1)
+        monkeypatch.setattr(construct, "automorphism_group", no_work)
+        with pytest.raises(BoundExceeded):
+            simple_inner_regular_subgroups(alternating_5())

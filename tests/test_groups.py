@@ -45,11 +45,14 @@ from braceforge.groups import (
     validate_group,
 )
 from reference import (
+    A5_SEEDS,
     brute_comp,
     invert,
     is_automorphism,
     reference_hom_from_generator_images,
+    reference_isomorphisms,
     reference_regular_subgroups,
+    relabelled_group,
 )
 
 
@@ -205,6 +208,19 @@ class TestAutomorphisms:
             for q in auts:
                 assert compose(p, q) in index
             assert is_automorphism(G, p)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_matches_the_unpruned_search_on_the_catalog(self, n):
+        for entry in groups_of_order(n):
+            G = entry.group
+            assert automorphism_group(G) == reference_isomorphisms(G, G), entry.name
+
+    def test_matches_the_unpruned_search_on_relabelled_a5(self):
+        relabellings = [relabelled_group(alternating_5(), seed) for seed in A5_SEEDS]
+        assert any(len(G.generators()) == 3 for G in relabellings)
+        for G in relabellings:
+            auts = automorphism_group(G)
+            assert len(auts) == 120 and auts == reference_isomorphisms(G, G)
 
     def test_inner_abelian_is_trivial(self):
         assert inner_automorphisms(cyclic(4)) == [identity_perm(4)]
@@ -426,6 +442,37 @@ class TestIsomorphism:
     def test_c6_is_c2_x_c3(self):
         assert group_isomorphism(cyclic(6),
                                  direct_product_group(cyclic(2), cyclic(3))) is not None
+
+
+class TestIrredundantGenerators:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_kept_generators_generate_and_none_is_redundant(self, n):
+        for entry in groups_of_order(n):
+            G = entry.group
+            kept = groups._irredundant(G, G.generators())
+            assert set(kept) <= set(G.generators()), entry.name
+            assert len(G.closure(kept)) == n, entry.name
+            for g in kept:
+                assert g not in G.closure([h for h in kept if h != g]), entry.name
+
+    def test_drops_the_third_greedy_generator_of_a5(self):
+        for seed in A5_SEEDS:
+            G = relabelled_group(alternating_5(), seed)
+            assert len(groups._irredundant(G, G.generators())) == 2, seed
+
+
+def is_isomorphism(G, H, f):
+    return sorted(f) == list(G.elements()) and all(
+        f[G.table[a][b]] == H.table[f[a]][f[b]] for a in G.elements() for b in G.elements())
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_isomorphism_existence_matches_the_unpruned_search(n):
+    for e1, e2 in itertools.product(groups_of_order(n), repeat=2):
+        found = group_isomorphism(e1.group, e2.group)
+        assert (found is None) == (not reference_isomorphisms(e1.group, e2.group)), \
+            (e1.name, e2.name)
+        assert found is None or is_isomorphism(e1.group, e2.group, found)
 
 
 def tried_image_tuples(G, H):
