@@ -124,15 +124,15 @@ def validate_brace(add_table: Sequence[Sequence[int]],
     lexicographic scan over all triples names the first witness, so a
     rejection reports the same BraceAxiomFailed as a full scan.
     """
+    return _brace_of_groups(_group_of("add", add_table), _group_of("mul", mul_table))
+
+
+def _group_of(which: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
+    """validate_group(table), its failure raised as GroupInvalid naming which table."""
     try:
-        add = validate_group(add_table)
+        return validate_group(table)
     except GroupValidationError as exc:
-        raise GroupInvalid("add", exc) from exc
-    try:
-        mul = validate_group(mul_table)
-    except GroupValidationError as exc:
-        raise GroupInvalid("mul", exc) from exc
-    return _brace_of_groups(add, mul)
+        raise GroupInvalid(which, exc) from exc
 
 
 def _brace_of_groups(add: FiniteGroup, mul: FiniteGroup) -> SkewBrace:

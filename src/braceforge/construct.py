@@ -10,12 +10,13 @@ re-derives the small censuses by scanning all maps from G into Aut(G).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator
 
 from . import catalog
-from .braces import SkewBrace, _brace_of_groups, is_isomorphic, validate_brace
+from .braces import SkewBrace, _brace_of_groups, _group_of, is_isomorphic, validate_brace
 from .errors import (
     BraceAxiomFailed,
     GroupInvalid,
@@ -60,7 +61,8 @@ class CensusEntry:
 def brace_from_regular_subgroup(G: FiniteGroup, H: RegularSubgroup) -> SkewBrace:
     """The brace with additive group G and bc = b + phi_b(c); fully re-validated."""
     _check_pairs(G, H)
-    return _brace_on(G, H.multiplication_table())
+    with _not_regular():
+        return validate_brace(G.table, H.multiplication_table())
 
 
 def _check_pairs(G: FiniteGroup, H: RegularSubgroup) -> None:
@@ -76,10 +78,11 @@ def _check_pairs(G: FiniteGroup, H: RegularSubgroup) -> None:
             raise NotRegular(f"phi_{g} is not a permutation of the carrier")
 
 
-def _brace_on(G: FiniteGroup, mul: Sequence[Sequence[int]]) -> SkewBrace:
-    """validate_brace on G's table and a subgroup's product table, as NotRegular on failure."""
+@contextlib.contextmanager
+def _not_regular() -> Iterator[None]:
+    """Re-raise a failure of the brace validation as NotRegular."""
     try:
-        return validate_brace(G.table, mul)
+        yield
     except (GroupInvalid, BraceAxiomFailed) as exc:
         raise NotRegular(f"pair map is not a regular subgroup: {exc}") from exc
 
@@ -93,13 +96,15 @@ def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:
     return None, None
 
 
-def _census_entry(G: FiniteGroup, H: RegularSubgroup, mul: tuple[tuple[int, ...], ...],
+def _census_entry(add: FiniteGroup, H: RegularSubgroup, mul: tuple[tuple[int, ...], ...],
                   add_id: int | None, add_name: str | None) -> CensusEntry:
     """The census entry of H from its product table mul, validated as brace_from_regular_subgroup
-    validates; the lambda check below ties mul to H."""
-    _check_pairs(G, H)
-    brace = _brace_on(G, mul)
-    if brace.lam != tuple(H.perm(g) for g in G.elements()):
+    validates but on add, the caller's once-validated copy of H's group; the lambda check
+    below ties mul to H."""
+    _check_pairs(add, H)
+    with _not_regular():
+        brace = _brace_of_groups(add, _group_of("mul", mul))
+    if brace.lam != tuple(H.perm(g) for g in add.elements()):
         raise InternalInvariant("lambda maps differ from the defining subgroup")
     mul_id, mul_name = _identify_group(brace.mul)
     return CensusEntry(brace, add_id, add_name, mul_id, mul_name, H)
@@ -107,8 +112,10 @@ def _census_entry(G: FiniteGroup, H: RegularSubgroup, mul: tuple[tuple[int, ...]
 
 def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
     """One fully validated entry per regular subgroup of Hol(G), canonically ordered."""
+    with _not_regular():
+        add = _group_of("add", G.table)
     add_id, add_name = _identify_group(G)
-    return [_census_entry(G, H, H.multiplication_table(), add_id, add_name)
+    return [_census_entry(add, H, H.multiplication_table(), add_id, add_name)
             for H in regular_subgroups(G, "holomorph")]
 
 
@@ -198,8 +205,10 @@ def enumerate_braces(n: int, *,
     for gid, gname, G in named:
         if G.order != n:
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
+        with _not_regular():
+            add = _group_of("add", G.table)  # once for every brace built on G
         for mul, H in _orbit_representatives(G, regular_subgroups(G, "holomorph")):
-            census.append(_census_entry(G, H, mul, gid, gname))
+            census.append(_census_entry(add, H, mul, gid, gname))
     return census
 
 

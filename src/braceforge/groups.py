@@ -8,7 +8,6 @@ Enumeration operations check hard bounds set by BRACEFORGE_BOUND, so blow-ups fa
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 import os
 from dataclasses import dataclass
@@ -431,14 +430,36 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
     of H with the generator's signature, in lexicographic order of the image
     tuple.  Each generator multiplies the number of tuples by the size of its
     candidate list, and the image of one that the others generate is fixed by
-    theirs, so such generators are dropped first (see _irredundant).
+    theirs, so such generators are dropped first (see _irredundant).  A map
+    that preserves the signatures of all elements sends g_i g_j to h_i h_j,
+    so an image is skipped, before any Cayley-graph fill, when its products
+    with the images already chosen, either way round, differ in signature
+    from the generators' products.
     """
     gens = _irredundant(G, G.generators())
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
-    for images in itertools.product(*candidates):
+    # the i < k with the signatures of g_i g_k and g_k g_i, for the image of g_k
+    pairs = [[(i, sig_G[G.table[gens[i]][g]], sig_G[G.table[g][gens[i]]]) for i in range(k)]
+             for k, g in enumerate(gens)]
+    for images in _pair_consistent_images(H.table, sig_H, candidates, pairs, ()):
         f = _hom_from_generator_images(G, H, gens, images)
         if f is not None:
             yield f
+
+
+def _pair_consistent_images(table: Sequence[Sequence[int]], sig: Sequence,
+                            candidates: Sequence[Sequence[int]], pairs: Sequence[Sequence[tuple]],
+                            images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The extensions of images by one candidate per further generator, in lexicographic
+    order, whose products with the images before them have the signatures in pairs."""
+    k = len(images)
+    if k == len(candidates):
+        yield images
+        return
+    for h in candidates[k]:
+        if all(sig[table[images[i]][h]] == left and sig[table[h][images[i]]] == right
+               for i, left, right in pairs[k]):
+            yield from _pair_consistent_images(table, sig, candidates, pairs, images + (h,))
 
 
 def _irredundant(G: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:
@@ -714,11 +735,13 @@ def group_isomorphism(G1: FiniteGroup, G2: FiniteGroup) -> Perm | None:
 def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     """Least normal subgroup containing seed.
 
-    One closure grows from the seed, and each member's conjugates are added
-    once, when it is reached: at the end the members are closed under the
-    product and under conjugation.
+    One closure grows from the seed, and each member's conjugates by the
+    generators of G are added once, when it is reached: at the end the
+    members form a subgroup N with gNg^-1 inside N for every generator g.
+    Then gNg^-1 = N, since both have |N| elements, so N is normal: the g
+    with gNg^-1 = N form a subgroup, and it holds the generators.
     """
-    table, inverse = G.table, G.inverse
+    table, inverse, conjugators = G.table, G.inverse, G.generators()
     members, seen, gens = [0], [True] + [False] * (G.order - 1), []
     for y in seed:
         if not seen[y]:
@@ -726,7 +749,7 @@ def normal_closure(G: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
     k = 0
     while k < len(members):
         x = members[k]
-        for g in G.elements():
+        for g in conjugators:
             y = table[table[g][x]][inverse[g]]
             if not seen[y]:
                 grow_closure(table, members, seen, gens, y)

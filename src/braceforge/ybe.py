@@ -308,38 +308,74 @@ def is_partition_decomposable(solution: Solution, partition: Partition) -> tuple
     return _blocks_swap_ok(solution, partition.blocks)
 
 
+def _check_r_closed_count(cores: list, free: list) -> None:
+    """Raise BoundExceeded once the cores found so far, each joined with every
+    subset of the free points, give more than R_CLOSED_MAX_SUBSETS non-empty sets.
+
+    The count is arithmetic, so nothing is built first; like a search that
+    stops at the first subset past the bound, it reports R_CLOSED_MAX_SUBSETS + 1.
+    """
+    if (len(cores) << len(free)) - 1 > R_CLOSED_MAX_SUBSETS:
+        raise BoundExceeded("r-closed subsets", R_CLOSED_MAX_SUBSETS + 1, R_CLOSED_MAX_SUBSETS)
+
+
 def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
     """All non-empty subsets X with r(X x X) inside X x X, sorted by subset_key.
 
-    Depth-first search over subsets grown in increasing point order, on bit
-    masks.  both[x][y] holds the four points r(x, y) and r(y, x) force, and
-    `reach` is the union of both[x][y] over the pairs of the current X.
-    Invariant: every point of `reach` at most the last point added lies in
-    X.  Later steps add only larger points, so a branch that breaks it can
-    never become closed and is cut (NextClosure's canonicity test); X is
-    emitted when all of `reach` lies in X.  Every prefix of a closed set keeps
-    the invariant, so no closed set is lost, and the cost scales with the
-    number of subsets that keep it, not with 2^size.
+    both[y][z] holds the four points r(y, z) and r(z, y) force.  A point x is
+    free when no pair without x forces x and no pair with x forces a point
+    outside the pair; one pass over the pairs (y = z included) marks every
+    point that is not, by OR-ing the pair and its forced points wherever a
+    pair forces a point outside itself.  With F the free points and K the
+    rest, the closed sets are exactly the non-empty C | S with C closed inside
+    K or empty and S any subset of F: pairs inside K force nothing in F, and a
+    pair that meets F forces nothing outside itself, so X is closed exactly
+    when X & K is.  So only K is searched, and each core C is joined with
+    every subset of F.
 
-    The flip solution on m points has 2^m - 1 closed subsets, so the output
-    is bounded: BoundExceeded is raised as soon as it passes
-    R_CLOSED_MAX_SUBSETS.
+    The search is a depth-first search over subsets of K grown in increasing
+    point order, on bit masks; `reach` is the union of both[y][z] over the
+    pairs of the current set, and never leaves K.  Invariant: every point of
+    `reach` at most the last point added lies in the set.  Later steps add
+    only larger points, so a branch that breaks it can never become closed
+    and is cut (NextClosure's canonicity test, Ganter 1984); the set is a core
+    when all of `reach` lies in it.  Every prefix of a closed set keeps the
+    invariant, so no core is lost.
+
+    The flip solution on m points has every point free and 2^m - 1 closed
+    subsets, so the output is bounded.  With k non-empty cores there are
+    (k + 1) * 2^|F| - 1 closed sets, and BoundExceeded is raised as soon as
+    that count passes R_CLOSED_MAX_SUBSETS: before the search when 2^|F| - 1
+    does, and otherwise as the cores are found, before any set is built.
     """
     n = solution.size
     lam, rho = solution.lambda_tab, solution.rho_tab
-    both = [[1 << lam[x][y] | 1 << rho[y][x] | 1 << lam[y][x] | 1 << rho[x][y]
-             for y in range(n)] for x in range(n)]
-    out = []
-    # (X, reach, last point added, members of X in order); a recursive closure
-    # would be a function-cell reference cycle that keeps `out` alive until a
-    # full collection
-    stack = [(0, 0, -1, ())]
+    both = [[1 << lam[y][z] | 1 << rho[z][y] | 1 << lam[z][y] | 1 << rho[y][z]
+             for z in range(n)] for y in range(n)]
+    tied = 0  # the points that are not free
+    for y in range(n):
+        row = both[y]
+        for z in range(y, n):
+            pair = 1 << y | 1 << z
+            if row[z] & ~pair:
+                tied |= row[z] | pair
+    core = [x for x in range(n) if tied >> x & 1]
+    free = [x for x in range(n) if not tied >> x & 1]
+    cores = [()]
+    _check_r_closed_count(cores, free)
+    # (X, reach, next position in core, members of X in order); a recursive
+    # closure would be a function-cell reference cycle that keeps `cores`
+    # alive until a full collection
+    stack = [(0, 0, 0, ())]
     while stack:
-        X, reach, last, members = stack.pop()
+        X, reach, start, members = stack.pop()
         missing = reach & ~X
         # a child past the least missing point would skip it for good
         stop = (missing & -missing).bit_length() if missing else n
-        for i in range(last + 1, stop):
+        for p in range(start, len(core)):
+            i = core[p]
+            if i >= stop:
+                break
             row = both[i]
             grown = reach | row[i]
             for y in members:
@@ -350,15 +386,21 @@ def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
                 continue
             path = members + (i,)
             if not missing:
-                out.append(path)
-                if len(out) > R_CLOSED_MAX_SUBSETS:
-                    raise BoundExceeded("r-closed subsets", len(out), R_CLOSED_MAX_SUBSETS)
-            stack.append((Xi, grown, i, path))
-    # each path lists its members in order, so sorting by members and then,
-    # stably, by size gives subset_key order without re-sorting any subset
-    out.sort()
-    out.sort(key=len)
-    return [frozenset(path) for path in out]
+                cores.append(path)
+                _check_r_closed_count(cores, free)
+            stack.append((Xi, grown, p + 1, path))
+    # for one core C the sets C | S come in subset_key order as S runs
+    # through combinations(free, k), since the least point where two of them
+    # differ is free; a size that more than one core reaches sorts their runs
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for C in cores:
+        by_size[len(C)].append(C)
+    out: list[frozenset[int]] = []
+    for size in range(1, n + 1):
+        runs = [map(frozenset, map(C.__add__, itertools.combinations(free, size - c)))
+                for c in range(max(0, size - len(free)), size + 1) for C in by_size[c]]
+        out.extend(runs[0] if len(runs) == 1 else sorted(itertools.chain(*runs), key=sorted))
+    return out
 
 
 def find_decomposition(solution: Solution) -> Partition | None:

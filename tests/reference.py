@@ -13,8 +13,10 @@ from braceforge.groups import (
     _ambient_perms,
     _group_unchecked,
     _hom_from_generator_images,
+    _irredundant,
     compose,
     group_isomorphism,
+    grow_closure,
     regular_subgroups,
     validate_group,
 )
@@ -88,6 +90,35 @@ def reference_isomorphisms(G: FiniteGroup, H: FiniteGroup):
     found = (_hom_from_generator_images(G, H, gens, images)
              for images in itertools.product(*candidates))
     return sorted(f for f in found if f is not None)
+
+
+def reference_unpaired_isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G, sig_H):
+    """_isomorphisms without the check on products of pairs: every image tuple of the
+    irredundant generators with the generators' signatures, in lexicographic order."""
+    gens = _irredundant(G, G.generators())
+    candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
+    for images in itertools.product(*candidates):
+        f = _hom_from_generator_images(G, H, gens, images)
+        if f is not None:
+            yield f
+
+
+def reference_normal_closure(G: FiniteGroup, seed):
+    """Least normal subgroup containing seed, each member conjugated by every element of G."""
+    table, inverse = G.table, G.inverse
+    members, seen, gens = [0], [True] + [False] * (G.order - 1), []
+    for y in seed:
+        if not seen[y]:
+            grow_closure(table, members, seen, gens, y)
+    k = 0
+    while k < len(members):
+        x = members[k]
+        for g in G.elements():
+            y = table[table[g][x]][inverse[g]]
+            if not seen[y]:
+                grow_closure(table, members, seen, gens, y)
+        k += 1
+    return frozenset(members)
 
 
 def reference_simple_inner_regular_subgroups(G: FiniteGroup):
@@ -208,3 +239,41 @@ def reference_coset_partition(B: SkewBrace, ideal: frozenset, within: frozenset)
         assert left == frozenset(B.plus(b, i) for i in ideal)
         blocks[min(left)] = left
     return make_partition(blocks.values())
+
+
+def reference_r_closed_subsets(solution):
+    """The r-closed subsets by a depth-first search over every point, sorted by subset_key.
+
+    Subsets grow in increasing point order on bit masks; both[x][y] holds the
+    points r(x, y) and r(y, x) force and `reach` their union over the pairs of
+    X.  A branch is cut when `reach` holds a point at most the last one added
+    that is outside X (NextClosure's canonicity test), a node's children stop
+    at its least missing point, and X is kept when `reach` lies in X.  No
+    output bound.
+    """
+    n = solution.size
+    lam, rho = solution.lambda_tab, solution.rho_tab
+    both = [[1 << lam[x][y] | 1 << rho[y][x] | 1 << lam[y][x] | 1 << rho[x][y]
+             for y in range(n)] for x in range(n)]
+    out = []
+    stack = [(0, 0, -1, ())]
+    while stack:
+        X, reach, last, members = stack.pop()
+        missing = reach & ~X
+        stop = (missing & -missing).bit_length() if missing else n
+        for i in range(last + 1, stop):
+            row = both[i]
+            grown = reach | row[i]
+            for y in members:
+                grown |= row[y]
+            Xi = X | 1 << i
+            missing = grown & ~Xi
+            if missing & ((1 << (i + 1)) - 1):
+                continue
+            path = members + (i,)
+            if not missing:
+                out.append(path)
+            stack.append((Xi, grown, i, path))
+    out.sort()
+    out.sort(key=len)
+    return [frozenset(path) for path in out]

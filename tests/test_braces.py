@@ -28,9 +28,14 @@ from braceforge.braces import (
 from braceforge.catalog import cyclic, direct_product_group, symmetric_group
 from braceforge.construct import enumerate_braces
 from braceforge.errors import BraceAxiomFailed, GroupInvalid, NotAnIdeal
-from braceforge.groups import identity_perm, subgroups
+from braceforge.groups import _isomorphisms, identity_perm, subgroups
 from braceforge.structure import all_ideals
-from reference import is_automorphism, reference_classify, reference_quotient
+from reference import (
+    is_automorphism,
+    reference_classify,
+    reference_quotient,
+    reference_unpaired_isomorphisms,
+)
 
 S3 = symmetric_group(3)
 A3 = frozenset(a for a in S3.elements() if S3.element_order(a) in (1, 3))
@@ -342,6 +347,11 @@ class TestProducts:
         assert annihilator(P) == lifted
 
 
+def preserves_products(B1, B2, f):
+    return all(f[B1.times(a, b)] == B2.times(f[a], f[b])
+               for a in B1.elements() for b in B1.elements())
+
+
 class TestIsomorphism:
     def test_identity(self):
         B = almost_trivial_brace(S3)
@@ -384,6 +394,24 @@ class TestIsomorphism:
                     for b in range(n):
                         assert f[B.plus(a, b)] == C.plus(f[a], f[b])
                         assert f[B.times(a, b)] == C.times(f[a], f[b])
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_brace_isomorphisms_in_the_unpruned_order(self, n):
+        # a brace isomorphism keeps the brace signature of every element, so the
+        # pair check in _isomorphisms drops none of them: is_isomorphic finds the
+        # same maps in the same order, among fewer additive maps
+        census = [e.brace for e in enumerate_braces(n)]
+        for B1 in census:
+            sig1 = [braces._brace_signature(B1, a) for a in B1.elements()]
+            for B2 in census:
+                if B2.add.table != B1.add.table:
+                    continue
+                sig2 = [braces._brace_signature(B2, a) for a in B2.elements()]
+                pruned = list(_isomorphisms(B1.add, B2.add, sig1, sig2))
+                unpruned = list(reference_unpaired_isomorphisms(B1.add, B2.add, sig1, sig2))
+                assert set(pruned) <= set(unpruned)
+                assert [f for f in pruned if preserves_products(B1, B2, f)] == \
+                    [f for f in unpruned if preserves_products(B1, B2, f)]
 
 
 class TestSubBraceExtraction:

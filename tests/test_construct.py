@@ -2,7 +2,8 @@
 
 import pytest
 
-from braceforge import construct, groups
+from braceforge import braces, construct, groups
+from braceforge import catalog as catalog_module
 from braceforge.braces import is_isomorphic, validate_brace
 from braceforge.catalog import alternating_5, alternating_group, cyclic, groups_of_order, symmetric_group
 from braceforge.construct import (
@@ -198,6 +199,19 @@ class TestOrbitCensus:
                             lambda G, ambient: regular_subgroups(G, ambient)[:-1])
         with pytest.raises(InternalInvariant):
             enumerate_braces(n)
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_validates_each_group_once_and_each_class(self, monkeypatch, n):
+        catalog = groups_of_order(n)  # built, and validated, before counting
+        calls = []
+        for module in (groups, braces, construct, catalog_module):
+            def counting(table, _original=module.validate_group):
+                calls.append(table)
+                return _original(table)
+
+            monkeypatch.setattr(module, "validate_group", counting)
+        census = enumerate_braces(n)
+        assert len(calls) == len(census) + len(catalog)
 
     def test_automorphism_table_built_once_per_group(self, monkeypatch):
         built = []

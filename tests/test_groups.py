@@ -51,7 +51,9 @@ from reference import (
     is_automorphism,
     reference_hom_from_generator_images,
     reference_isomorphisms,
+    reference_normal_closure,
     reference_regular_subgroups,
+    reference_unpaired_isomorphisms,
     relabelled_group,
 )
 
@@ -475,6 +477,51 @@ def test_isomorphism_existence_matches_the_unpruned_search(n):
         assert found is None or is_isomorphism(e1.group, e2.group, found)
 
 
+class TestPairProductCheck:
+    """_isomorphisms skips image tuples whose pairwise products differ in signature."""
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_same_maps_in_the_same_order_on_catalog_pairs(self, n):
+        for e1, e2 in itertools.product(groups_of_order(n), repeat=2):
+            G, H = e1.group, e2.group
+            sig_G, sig_H = G._orders(), H._orders()
+            assert list(groups._isomorphisms(G, H, sig_G, sig_H)) == \
+                list(reference_unpaired_isomorphisms(G, H, sig_G, sig_H)), (e1.name, e2.name)
+
+    def test_same_maps_in_the_same_order_on_relabelled_a5(self):
+        A = alternating_5()
+        for seed in A5_SEEDS:
+            G = relabelled_group(A, seed)
+            assert list(groups._isomorphisms(G, A, G._orders(), A._orders())) == \
+                list(reference_unpaired_isomorphisms(G, A, G._orders(), A._orders())), seed
+
+    def count_fills(self, monkeypatch):
+        calls = []
+        original = groups._hom_from_generator_images
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(groups, "_hom_from_generator_images", counting)
+        return calls
+
+    def test_aut_a5_fills_only_the_automorphisms(self, monkeypatch):
+        # the catalog labelling has three irredundant generators: 4,500 tuples
+        # of equal element orders, of which the pair check keeps the 120 maps
+        G = validate_group(alternating_5().table)
+        assert len(groups._irredundant(G, G.generators())) == 3
+        calls = self.count_fills(monkeypatch)
+        assert len(automorphism_group(G)) == 120
+        assert len(calls) == 120
+
+    def test_catalog_fill_count(self, monkeypatch):
+        catalog = [validate_group(e.group.table) for n in range(1, 16) for e in groups_of_order(n)]
+        calls = self.count_fills(monkeypatch)
+        assert sum(len(automorphism_group(G)) for G in catalog) == 462
+        assert len(calls) == 516  # 685 by element order alone
+
+
 def tried_image_tuples(G, H):
     """The generator image tuples _isomorphisms tries: images of equal element order."""
     gens = G.generators()
@@ -523,6 +570,13 @@ def simple_by_every_element(G):
     """Reference for is_simple: the normal closure of every non-identity element."""
     return G.order > 1 and all(len(groups.normal_closure(G, {g})) == G.order
                                for g in range(1, G.order))
+
+
+@pytest.mark.parametrize("G", [entry.group for n in range(1, 16) for entry in groups_of_order(n)]
+                         + [alternating_5()], ids=lambda G: G.name)
+def test_normal_closure_matches_conjugation_by_every_element(G):
+    for g in G.elements():
+        assert groups.normal_closure(G, {g}) == reference_normal_closure(G, {g}), g
 
 
 class TestSimplicity:

@@ -1,5 +1,8 @@
 """Yang-Baxter solutions, decomposability, and multidecomposition witnesses."""
 
+import itertools
+import random
+
 import pytest
 
 from braceforge.braces import quotient, sub_brace, trivial_brace
@@ -43,7 +46,7 @@ from braceforge.ybe import (
     validate_solution,
     verify_multidecomposition,
 )
-from reference import reference_coset_partition
+from reference import reference_coset_partition, reference_r_closed_subsets
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
@@ -467,8 +470,63 @@ class TestRestrictionLemma:
             ybe._series_cosets(B, series)
 
 
+def relabelled_solution(s, seed):
+    """s with its points moved by a seeded permutation."""
+    perm = list(range(s.size))
+    random.Random(seed).shuffle(perm)
+    lam = [[0] * s.size for _ in range(s.size)]
+    rho = [[0] * s.size for _ in range(s.size)]
+    for x in range(s.size):
+        for y in range(s.size):
+            lam[perm[x]][perm[y]] = perm[s.lambda_tab[x][y]]
+            rho[perm[y]][perm[x]] = perm[s.rho_tab[y][x]]
+    return Solution(s.size, tuple(map(tuple, lam)), tuple(map(tuple, rho)))
+
+
+def maps_with_bijective_rows(m):
+    """Every pair of tables on m points whose rows are permutations; no braid relation asked."""
+    tables = list(itertools.product(itertools.permutations(range(m)), repeat=m))
+    return [Solution(m, lam, rho) for lam in tables for rho in tables]
+
+
+def seeded_map(m, rng):
+    """Tables with bijective rows on m points: the flip on a seeded set F joined with
+    random rows on the rest, then some rows' entries swapped, which ties F to the rest."""
+    free = set(rng.sample(range(m), rng.randrange(m + 1)))
+    core = [x for x in range(m) if x not in free]
+
+    def table():
+        rows = []
+        for y in range(m):
+            row = list(range(m))
+            if y not in free:
+                for z, w in zip(core, rng.sample(core, len(core))):
+                    row[z] = w
+            if rng.random() < 0.15:
+                a, b = rng.sample(range(m), 2)
+                row[a], row[b] = row[b], row[a]
+            rows.append(tuple(row))
+        return tuple(rows)
+
+    return Solution(m, table(), table())
+
+
+def free_point_conditions(s):
+    """For each point x: (x is forced by a pair without x, a pair with x forces a point
+    outside the pair).  A point is free exactly when both are False."""
+    m, lam, rho = s.size, s.lambda_tab, s.rho_tab
+
+    def forced(y, z):
+        return {lam[y][z], rho[z][y], lam[z][y], rho[y][z]}
+
+    return [(any(x in forced(y, z) for y in range(m) for z in range(m) if x not in (y, z)),
+             any(forced(x, z) - {x, z} for z in range(m)))
+            for x in range(m)]
+
+
 class TestRClosedSubsets:
-    """The pruned search returns exactly the list of the 2^n scan, order included."""
+    """The search over the core, joined with the free points, returns exactly the list
+    of the 2^n scan and of the search over every point, order included."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_scan_on_census(self, n):
@@ -486,6 +544,70 @@ class TestRClosedSubsets:
     def test_matches_scan_on_conjugation(self):
         s = solution_from_brace(trivial_brace(S3))
         assert r_closed_subsets(s) == r_closed_scan(s)
+
+    @pytest.mark.parametrize("n", range(13, 16))
+    def test_matches_the_search_over_every_point_on_census(self, n):
+        for entry in enumerate_braces(n):
+            s = solution_from_brace(entry.brace)
+            assert r_closed_subsets(s) == reference_r_closed_subsets(s)
+            assert free_point_conditions(s)[0] == (False, False)  # the identity is free
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12, 14])
+    def test_matches_the_search_over_every_point_on_relabelled_census(self, n):
+        # relabelling moves the free point 0 and interleaves free and core points
+        for i, entry in enumerate(enumerate_braces(n)):
+            s = relabelled_solution(solution_from_brace(entry.brace), 100 * n + i)
+            assert r_closed_subsets(s) == reference_r_closed_subsets(s)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_scan_on_every_map_with_bijective_rows(self, m):
+        kinds = set()
+        for s in maps_with_bijective_rows(m):
+            assert r_closed_subsets(s) == r_closed_scan(s), (s.lambda_tab, s.rho_tab)
+            if len(kinds) < 4:
+                kinds.update(free_point_conditions(s))
+        if m == 3:
+            # points that fail exactly one of the two conditions, each way round
+            assert {(True, False), (False, True)} <= kinds
+
+    @pytest.mark.parametrize("m", range(4, 9))
+    def test_matches_scan_on_seeded_maps(self, m):
+        rng = random.Random(m)
+        kinds, mixed = set(), 0
+        for _ in range(60):
+            s = seeded_map(m, rng)
+            got = r_closed_subsets(s)
+            assert got == r_closed_scan(s), (s.lambda_tab, s.rho_tab)
+            conditions = free_point_conditions(s)
+            kinds.update(conditions)
+            free = conditions.count((False, False))
+            cores = (len(got) + 1) >> free  # the empty core included
+            mixed += free > 0 and cores > 2
+        assert {(True, False), (False, True), (False, False)} <= kinds
+        assert mixed > 0  # some maps join several cores with free points
+
+    def test_flip_past_the_bound_raises_before_any_subset_is_built(self, monkeypatch):
+        def no_subsets(*args):
+            raise AssertionError("a subset was built")
+
+        monkeypatch.setattr(ybe.itertools, "combinations", no_subsets)
+        with pytest.raises(BoundExceeded) as info:
+            r_closed_subsets(flip_solution(40))
+        assert info.value.actual == ybe.R_CLOSED_MAX_SUBSETS + 1
+
+    def test_bound_counts_cores_times_free_subsets(self, monkeypatch):
+        # a census brace of order 8 with 4 free points and 4 closed sets of
+        # the core, the empty one included: 4 * 2^4 - 1 = 63 closed sets
+        s = next(s for s in map(solution_from_brace, (e.brace for e in enumerate_braces(8)))
+                 if free_point_conditions(s).count((False, False)) == 4)
+        assert len(r_closed_subsets(s)) == 63
+        monkeypatch.setattr(ybe, "R_CLOSED_MAX_SUBSETS", 63)
+        assert len(r_closed_subsets(s)) == 63
+        for limit in (62, 20, 14):  # 15 = 2^4 - 1 passes 14 before the core search
+            monkeypatch.setattr(ybe, "R_CLOSED_MAX_SUBSETS", limit)
+            with pytest.raises(BoundExceeded) as info:
+                r_closed_subsets(s)
+            assert info.value.actual == limit + 1
 
     def test_output_bound(self):
         # the least flip whose 2^m - 1 closed subsets pass the bound
