@@ -171,6 +171,8 @@ def cmd_decompose(args) -> int:
         _emit({"input": "solution", "decomposable": found is not None,
                "partition": found.to_json() if found else None}, args.out)
         return EXIT_OK
+    if args.partition is not None:
+        raise InvalidDocument("--partition applies to solution documents only")
     brace, _ = jsonio.load_brace_data(data)
     # the chief series is the finest canonical abelian series of a soluble brace
     witness = multidecomposition_from_series(brace, chief_series_as_abelian(brace))

@@ -65,7 +65,8 @@ class InvalidBound(BraceforgeError):
 
 class InvalidDocument(BraceforgeError):
     """An input file does not hold a JSON object, its tables are not square lists of
-    lists, or its declared order or size is not the int table size."""
+    lists, its declared order or size is not the int table size, or it is given
+    an option that applies only to another kind of document."""
 
 
 class OutputError(BraceforgeError):

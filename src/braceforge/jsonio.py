@@ -36,8 +36,16 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def read_object(path: str | Path) -> dict:
-    """Parse a JSON file; every document format here is an object."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Parse a JSON file; every document format here is an object.
+
+    A document nested too deeply for the parser's recursion is refused as
+    InvalidDocument, like any other text that is not an object.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise InvalidDocument(f"{path} nests JSON too deeply to parse") from None
     if not isinstance(data, dict):
         raise InvalidDocument(f"{path} holds a JSON {type(data).__name__}, not an object")
     return data

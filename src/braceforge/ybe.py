@@ -93,10 +93,9 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
     The braid relation is accepted by identities (1)-(3) of the module
     docstring, exact for a map whose rows are bijections, compared as whole
     rows of composed permutations (`_braid_criterion`).  Only a rejection
-    runs the per-pair row test and the scan over z, which name the
-    lexicographically first failing triple, so a rejection reports the same
-    BraidFailed as a scan over all m^3 triples.  When the criterion fails and
-    the row test finds no failing pair, InternalInvariant is raised.
+    runs the lexicographic scan over the triples (`_braid_scan`), which
+    raises BraidFailed at the first failing one; when it finds none,
+    InternalInvariant is raised.
     """
     m = len(lambda_tab)
     if m == 0:
@@ -118,10 +117,8 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
     lam = tuple(tuple(r) for r in lambda_tab)
     rho = tuple(tuple(r) for r in rho_tab)
     if not _braid_criterion(lam, rho):
-        held = _braid_holds(lam, rho)
-        if held == m * m:
-            raise InternalInvariant("the braid criterion failed but every pair of rows holds")
-        _braid_scan(lam, rho, *divmod(held, m))
+        _braid_scan(lam, rho)
+        raise InternalInvariant("the braid criterion failed but the scan found no witness")
     return Solution(m, lam, rho)
 
 
@@ -168,66 +165,26 @@ def _products_agree(rows: Sequence[tuple[int, ...]], first: Iterable[Sequence[in
                for products, f, s in zip(table, first, second))
 
 
-def _braid_holds(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> int:
-    """How many pairs (x, y), in lexicographic order, pass before the first that fails.
+def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> None:
+    """Raise BraidFailed at the lexicographically first failing triple, if any.
 
-    Run only when `_braid_criterion` rejects, to name the failing pair; m^2
-    when the braid relation holds on all m^3 triples.  It is decided per
-    (x, y) on three rows over z, so the first failing pair is the pair of the
-    lexicographically first failing triple.
-
-    With (a, b) = r(x, y), r(y, z) = (d[z], e[z]) and d2[z] = rho[d[z]][x], the
-    two sides' outputs are, as rows over z:
-      first:  lam[a] o lam[b]      and  lam[x] o d;
-      second: rho_t[a] o lam[b]    and  z -> lam[d2[z]][e[z]];
-      third:  rho_t[b]             and  z -> rho[e[z]][d2[z]].
+    With (a, b) = r(x, y), d = lambda_y(z), e = rho_z(y) and d2 = rho_d(x),
+    r12 r23 r12 sends (x, y, z) to (lam[a][lam[b][z]], rho[lam[b][z]][a],
+    rho[z][b]) and r23 r12 r23 sends it to (lam[x][d], lam[d2][e], rho[e][d2]).
     """
     m = len(lam)
-    if m < 2:
-        return m  # the only bijective tables on one point are the flip
     rho_t = tuple(zip(*rho))  # rho_t[y][z] = rho[z][y], the second output of r(y, z)
-    after = [operator.itemgetter(*row) for row in lam]  # after[y](p) = compose(p, lam[y])
-    # a gathered row is built as a list: a tuple built from a map changes size
-    # as it fills, which strands tuples on the interpreter's per-size free lists
-    get = operator.getitem
     for x in range(m):
         lam_x, rho_x = lam[x], rho_t[x]
         for y in range(m):
-            a, b = lam_x[y], rho[y][x]
-            e = rho_t[y]
-            d2 = after[y](rho_x)
-            if (after[b](lam[a]) != after[y](lam_x)
-                    or list(after[b](rho_t[a])) != list(map(get, compose(lam, d2), e))
-                    or list(rho_t[b]) != list(map(get, compose(rho, e), d2))):
-                return x * m + y
-    return m * m
-
-
-def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...],
-                x: int, y: int) -> None:
-    """Raise BraidFailed at the first z on which the pair (x, y) fails.
-
-    Raises InternalInvariant when no z fails: the row test named a pair that
-    the triples do not confirm.
-    """
-    m = len(lam)
-
-    def r(x, y):
-        return lam[x][y], rho[y][x]
-
-    for z in range(m):
-        # r12 r23 r12 applied to (x, y, z), innermost first
-        a, b = r(x, y)
-        b, c = r(b, z)
-        a, b = r(a, b)
-        lhs = (a, b, c)
-        d, e = r(y, z)
-        x2, d = r(x, d)
-        d, e2 = r(d, e)
-        rhs = (x2, d, e2)
-        if lhs != rhs:
-            raise BraidFailed(x, y, z)
-    raise InternalInvariant("the braid relation failed on rows but the scan found no witness")
+            lam_y, rho_y = lam[y], rho_t[y]
+            a, b = lam_x[y], rho_x[y]
+            lam_a, lam_b, rho_a, rho_b = lam[a], lam[b], rho_t[a], rho_t[b]
+            for z in range(m):
+                bz, d, e = lam_b[z], lam_y[z], rho_y[z]
+                d2 = rho_x[d]
+                if lam_a[bz] != lam_x[d] or rho_a[bz] != lam[d2][e] or rho_b[z] != rho_t[d2][e]:
+                    raise BraidFailed(x, y, z)
 
 
 def flip_solution(m: int) -> Solution:

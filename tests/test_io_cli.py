@@ -315,6 +315,9 @@ def law_breaking_document(kind):
             for b in range(6):
                 mul[tau[a]][tau[b]] = tau[s3[a][b]]
         return {"add": s3, "mul": mul}
+    if kind == "braid-xor-2":
+        # r(x, y) = (x + y, x + y) mod 2, the document CI feeds the installed script
+        return {"lambda": [[0, 1], [1, 0]], "rho": [[0, 1], [1, 0]]}
     solution = solution_from_brace(almost_trivial_brace(symmetric_group(3))).to_json()
     row = solution["lambda"][1]
     row[0], row[2] = row[2], row[0]
@@ -327,6 +330,7 @@ class TestCliRejectionBytes:
          "validation failed: add table is not a group: associativity fails at (1,2,2)\n"),
         ("analyze", "brace-law", "validation failed: a(b+c) = ab - a + ac fails at (1,2,2)\n"),
         ("decompose", "braid", "validation failed: braid relation fails at (1,0,1)\n"),
+        ("decompose", "braid-xor-2", "validation failed: braid relation fails at (0,0,1)\n"),
     ])
     def test_stderr_names_the_first_witness(self, tmp_path, capsys, command, kind, line):
         path = write(tmp_path, "doc.json", law_breaking_document(kind))
@@ -348,6 +352,16 @@ class TestCliRejectionBytes:
         assert main([command, path]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err == line and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "decompose"])
+    def test_deeply_nested_document_refused_without_a_traceback(self, tmp_path, capsys,
+                                                                command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        assert main([command, str(path)]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == f"validation failed: {path} nests JSON too deeply to parse\n"
+        assert captured.out == ""
 
 
 class TestCliDecompose:
@@ -393,6 +407,13 @@ class TestCliDecompose:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "validation failed: table shape: empty table\n"
+
+    def test_partition_refused_for_a_brace(self, tmp_path, capsys):
+        src = write(tmp_path, "z6.json", jsonio.brace_to_json(trivial_brace(cyclic(6))))
+        assert main(["decompose", src, "--partition", "singletons"]) == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err == "validation failed: --partition applies to solution documents only\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("text", ["5", '["lambda", "rho"]'])
     def test_non_object_exit_code(self, tmp_path, capsys, text):

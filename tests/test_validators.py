@@ -38,6 +38,18 @@ from braceforge.ybe import solution_from_brace, validate_solution
 CENSUS = [e.brace for n in range(1, 13) for e in enumerate_braces(n)]
 ROUNDS = 4  # seeded corruptions drawn per census brace
 S3 = symmetric_group(3)
+# (|B1|, |B2|) of the seeded direct products whose solutions have 16 to 30 points
+PRODUCT_ORDERS = ((2, 8), (3, 6), (2, 10), (4, 5), (2, 12), (3, 8), (3, 9), (5, 6))
+
+
+def large_braces():
+    """The census braces of orders 13 to 15 and a seeded direct product of
+    census braces for each pair of PRODUCT_ORDERS."""
+    rng = random.Random(14)
+    out = [e.brace for n in range(13, 16) for e in enumerate_braces(n)]
+    for orders in PRODUCT_ORDERS:
+        out.append(braces.direct_product(*(rng.choice(enumerate_braces(n)).brace for n in orders)))
+    return out
 
 
 def assoc_scan(table):
@@ -223,9 +235,12 @@ class TestDifferential:
         assert {"ok", "BraceAxiomFailed"} <= kinds(seen)
 
     def test_entry_swaps_in_lambda_and_rho_rows(self):
+        # the census solutions up to 12 points, then solutions on 13 to 30
         rng = random.Random(11)
+        large = large_braces()
+        assert {B.order for B in large} == set(range(13, 16)) | {a * b for a, b in PRODUCT_ORDERS}
         seen = []
-        for B in CENSUS * ROUNDS:
+        for B in CENSUS * ROUNDS + large * ROUNDS:
             if B.order < 2:
                 continue
             S = solution_from_brace(B)
@@ -238,6 +253,8 @@ class TestDifferential:
             assert got == verdict(lambda: braid_scan(lam, rho)), (lam, rho)
             seen.append(got)
         assert "BraidFailed" in kinds(seen)
+        witnesses = [v[2] for v in seen if v[0] == "BraidFailed"]
+        assert any(x > 0 for x, _, _ in witnesses) and any(z > 0 for _, _, z in witnesses)
 
     def test_every_map_with_bijective_rows_on_up_to_three_points(self):
         seen = []
@@ -345,7 +362,6 @@ def test_valid_solutions_never_run_the_rejection_kernels(monkeypatch):
     def refuse(*args):
         raise AssertionError("a rejection kernel ran on a valid solution")
 
-    monkeypatch.setattr(ybe, "_braid_holds", refuse)
     monkeypatch.setattr(ybe, "_braid_scan", refuse)
     for B in CENSUS:
         S = solution_from_brace(B)
