@@ -44,9 +44,8 @@ from .errors import (
     SeriesInvalid,
     TheoremViolation,
 )
-from .groups import check_bound, enumeration_bound
+from .groups import _prime_power, check_bound, enumeration_bound
 from .structure import (
-    _prime_power,
     all_ideals,
     annihilator_quotient_test,
     chief_series_as_abelian,

@@ -2,9 +2,10 @@
 
 A brace on an additive group G is the same thing as a regular subgroup of
 Hol(G): the subgroup {(b, lambda_b)} recovers the brace via bc = b + phi_b(c).
-The census enumerates every regular subgroup for every additive group of the
-given order and keeps one per orbit of the additive automorphism group, which
-is one per brace isomorphism class.  An independent oracle
+The census keeps one regular subgroup per orbit of the additive automorphism
+group, which is one per brace isomorphism class, for every additive group of
+the given order; it searches only G x| P for a Sylow subgroup P of Aut(G)
+when |G| is a prime power, since every orbit meets it.  An independent oracle
 re-derives the small censuses by scanning all maps from G into Aut(G).
 """
 
@@ -28,6 +29,7 @@ from .groups import (
     FiniteGroup,
     RegularSubgroup,
     _group_unchecked,
+    _sylow_indices,
     assert_simple_nonabelian,
     automorphism_group,
     check_bound,
@@ -121,15 +123,18 @@ def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
 
 def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
                            ) -> list[tuple[tuple[tuple[int, ...], ...], RegularSubgroup]]:
-    """One member of each Aut(G)-orbit of the raw regular subgroups over G, with its product table.
+    """One member of each Aut(G)-orbit of regular subgroups of Hol(G), with its product table.
 
+    raw is regular_subgroups(G, "sylow"): the regular subgroups of G x| P for
+    the Sylow subgroup P of sylow_indices, which every orbit meets.
     alpha in Aut(G) acts by alpha.(g, phi_g) = (alpha(g), alpha phi_g alpha^-1),
     which relabels the brace by the additive automorphism alpha; so the orbits
     are the isomorphism classes of braces over G.  The raw subgroups are walked
-    in sorted order, and at the first one not yet seen its whole orbit is
-    marked seen and the member with the least product table is kept.
-    Returned as (product table, member) pairs in the order of their tables,
-    each table built once.
+    in sorted order, and at the first one not yet seen every automorphism is
+    applied to it, its raw images are marked seen, and the member of the whole
+    orbit with the least product table is kept; it may lie outside G x| P, and
+    is then built on the same pool.  Returned as (product table, member) pairs
+    in the order of their tables, each table built once.
 
     The least table is found without building one per member.  Row g of the
     table is G.table[g] composed with phi_g, so it depends on the assignment
@@ -138,13 +143,18 @@ def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
     those two rows are built and compared.  Distinct members therefore have
     distinct tables, and the least one does not depend on the walk's order.
 
-    Three invariants are checked, each raising InternalInvariant: every orbit
-    image is a raw subgroup, |orbit| * |stabiliser| = |Aut(G)| for each class,
-    and the orbit sizes sum to the raw count.
+    These invariants are checked, each raising InternalInvariant: every raw
+    subgroup lies in G x| P, every orbit image whose phi all lie in P is raw,
+    |orbit| * |stabiliser| = |Aut(G)| for each class, and the raw subgroups
+    the orbits meet sum to the raw count.  When P is all of Aut(G) these are
+    the checks of a walk over the whole holomorph.
     """
     pool = pair_pool(G, "holomorph")
     perms, comp, inv = pool.perms, pool.comp, pool.inv
+    outside = set(range(len(perms))).difference(_sylow_indices(G))  # Aut(G) less P
     by_assignment = {H.assignment: H for H in raw}
+    if outside and not all(outside.isdisjoint(a) for a in by_assignment):
+        raise InternalInvariant("a raw regular subgroup lies outside G x| P")
     seen: set[tuple[int, ...]] = set()
     kept = []
     covered = 0
@@ -157,16 +167,17 @@ def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
         for ci, j in zip(comp, inv):
             # phi at alpha(g) is alpha phi_g alpha^-1, and perms[j] is alpha^-1
             moved = tuple([comp[ci[a[g]]][j] for g in perms[j]])
-            if moved not in by_assignment:
-                raise InternalInvariant("an automorphism moves a regular subgroup "
-                                        "outside the raw regular subgroups")
+            if moved not in by_assignment and outside.isdisjoint(moved):
+                raise InternalInvariant("an automorphism moves a regular subgroup into "
+                                        "G x| P outside the raw regular subgroups")
             orbit.add(moved)
             stabiliser += moved == a
         if len(orbit) * stabiliser != len(perms):
             raise InternalInvariant(f"orbit {len(orbit)} times stabiliser {stabiliser} "
                                     f"is not |Aut| = {len(perms)}")
-        seen |= orbit
-        covered += len(orbit)
+        met = orbit.intersection(by_assignment)
+        seen |= met
+        covered += len(met)
         least = a
         for m in orbit:
             if m == least:
@@ -175,10 +186,10 @@ def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
             row = G.table[g]
             if compose(row, perms[m[g]]) < compose(row, perms[least[g]]):
                 least = m
-        kept.append(by_assignment[least])
+        kept.append(by_assignment.get(least) or RegularSubgroup(G, perms, least))
     if covered != len(raw):
-        raise InternalInvariant(f"orbit sizes sum to {covered}, not to the "
-                                f"{len(raw)} raw regular subgroups")
+        raise InternalInvariant(f"the orbits meet {covered} raw regular subgroups, not the "
+                                f"{len(raw)} found in G x| P")
     return sorted([(H.multiplication_table(), H) for H in kept], key=lambda pair: pair[0])
 
 
@@ -189,12 +200,16 @@ def enumerate_braces(n: int, *,
     Braces over distinct additive groups are never isomorphic, and two braces
     over G are isomorphic exactly when an automorphism of G relabels one into
     the other: the classes are the Aut(G)-orbits of the regular subgroups of
-    Hol(G).  _orbit_representatives keeps the member of each orbit with the
-    least product table; only these representatives are built, validated and
-    identified, in product-table order.  Every other member is a relabelling
-    of a validated brace by an additive automorphism, proven so by the orbit
-    walk's invariants; enumerate_braces_on still builds and validates every
-    raw subgroup, and the tests compare the two.
+    Hol(G).  Every orbit meets G x| P for the Sylow subgroup P of
+    groups.sylow_indices (all of Aut(G) unless |G| is a prime power), so
+    regular_subgroups(G, "sylow") is searched, and _orbit_representatives
+    applies all of Aut(G) to it and keeps the member of each whole orbit with
+    the least product table; only these representatives are built, validated
+    and identified, in product-table order.  Every other member is a
+    relabelling of a validated brace by an additive automorphism, proven so
+    by the orbit walk's invariants; enumerate_braces_on still builds and
+    validates every regular subgroup of the whole holomorph, and the tests
+    compare the two.
     """
     if extra_groups is not None:
         groups = list(enumerate(extra_groups))
@@ -207,7 +222,7 @@ def enumerate_braces(n: int, *,
             raise ValueError(f"catalog group {gname} has order {G.order}, not {n}")
         with _not_regular():
             add = _group_of("add", G.table)  # once for every brace built on G
-        for mul, H in _orbit_representatives(G, regular_subgroups(G, "holomorph")):
+        for mul, H in _orbit_representatives(G, regular_subgroups(G, "sylow")):
             census.append(_census_entry(add, H, mul, gid, gname))
     return census
 

@@ -575,31 +575,66 @@ def _perm_table(G: FiniteGroup, ambient: str) -> PermTable:
     return PermTable(_ambient_perms(G, ambient))
 
 
-def holomorph(G: FiniteGroup) -> FiniteGroup:
-    """The semidirect product of G by its full automorphism group.
+def _prime_power(n: int) -> int | None:
+    """The prime p when n = p^k with k >= 1, else None."""
+    # the least divisor above 1 is prime
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
+        return None
+    while n % p == 0:
+        n //= p
+    return p if n == 1 else None
 
-    Pairs (g, phi) are indexed as g*|Aut| + i with (0, id) at index 0 and the
-    product (g, phi)(h, psi) = (g phi(h), phi psi).
+
+def sylow_indices(G: FiniteGroup) -> tuple[int, ...]:
+    """A Sylow p-subgroup P of Aut(G) when |G| = p^m, as sorted indices into
+    pair_pool(G, "holomorph"); every index when |G| is no prime power.
+
+    A regular subgroup H of Hol(G) has order p^m, and its image in Aut(G) is
+    a quotient of H, so a p-group; by Sylow's theorem it lies in a conjugate
+    of P.  Conjugating H by an automorphism conjugates its image, so every
+    Aut(G)-orbit of regular subgroups meets G x| P.  The bound is checked as
+    pair_pool checks it, before the memoised lookup.
     """
-    pool = pair_pool(G, "holomorph")
+    pair_pool(G, "holomorph")
+    return _sylow_indices(G)
+
+
+@memoised
+def _sylow_indices(G: FiniteGroup) -> tuple[int, ...]:
+    """P grown greedily: each automorphism in index order joins P when <P, x> is a p-group.
+
+    The pass stops once |P| is the p-part of |Aut(G)|, and one pass is
+    enough.  Were the final P not Sylow, it would lie properly in a Sylow
+    p-subgroup S, and some x in N_S(P) outside P would make <P, x> = P<x> a
+    p-group; when x was tried, P was then a subgroup of its final value, so
+    <P, x> was a p-group too and x was taken.
+    """
+    pool = _perm_table(G, "holomorph")
     k = len(pool)
-    n = G.order
-    table = []
-    for g in range(n):
-        for i in range(k):
-            pi = pool.perms[i]
-            ci = pool.comp[i]
-            row = [0] * (n * k)
-            col = 0
-            for h in range(n):
-                gh = G.table[g][pi[h]]
-                base = gh * k
-                for j in range(k):
-                    row[col] = base + ci[j]
-                    col += 1
-            table.append(row)
-    name = f"Hol({G.name})" if G.name else None
-    return _group_unchecked(table, name)
+    p = _prime_power(G.order)
+    part = 1
+    while p is not None and k % (part * p) == 0:
+        part *= p
+    if p is None or part == k:
+        return tuple(range(k))
+    members, seen, gens = [0], [True] + [False] * (k - 1), []
+    for x in range(k):
+        if len(members) == part:
+            break
+        if seen[x]:
+            continue
+        old = len(members)
+        grow_closure(pool.comp, members, seen, gens, x)
+        if part % len(members):  # <P, x> is not a p-group
+            for y in members[old:]:
+                seen[y] = False
+            del members[old:]
+            gens.pop()
+    if len(members) != part:
+        raise InternalInvariant(f"the greedy Sylow {p}-subgroup of Aut has order "
+                                f"{len(members)}, not {part}")
+    return tuple(sorted(members))
 
 
 @dataclass(frozen=True)
@@ -626,6 +661,14 @@ class RegularSubgroup:
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
     """Every regular subgroup of the chosen ambient, canonically ordered.
 
+    The ambient is G x| Aut(G) ("holomorph"), G x| Inn(G) ("inner"), or
+    G x| P ("sylow") for the Sylow subgroup P of sylow_indices, which is the
+    whole holomorph unless |G| is a prime power and |Aut(G)| is not.  The
+    "sylow" search indexes pair_pool(G, "holomorph") and tries only phi in
+    P; a product of pairs whose phi lie in P has its phi in P, so it finds
+    exactly the regular subgroups of G x| P, with the assignments the
+    holomorph search gives them.
+
     Backtracking over the map g -> phi_g.  A node is a subgroup K of the
     ambient that is injective on first coordinates: `assign` holds phi at
     each first coordinate of K (None elsewhere), `members` lists K and the
@@ -644,7 +687,8 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
     (m, phi_m)^-1 (t, phi_t) has first coordinate g when t = m . phi_m(g); so
     when they are distinct the first step assigns them with no conflict check.
     """
-    pool = pair_pool(G, ambient)
+    pool = pair_pool(G, "holomorph" if ambient == "sylow" else ambient)
+    allowed = _sylow_indices(G) if ambient == "sylow" else range(len(pool))
     n = G.order
     comp = pool.comp
     perms = pool.perms
@@ -665,7 +709,7 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
         """
         if g not in cyclic_choices:
             ok = cyclic_choices[g] = []
-            for c in range(len(perms)):
+            for c in allowed:
                 x, a, seen = g, c, {0}
                 while x not in seen:
                     seen.add(x)

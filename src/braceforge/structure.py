@@ -23,7 +23,7 @@ from .braces import (
     subbraces,
 )
 from .errors import InternalInvariant, NotAnIdeal, NotSoluble, TheoremViolation
-from .groups import grow_closure, memoised, subgroups, subset_key
+from .groups import _prime_power, grow_closure, memoised, subgroups, subset_key
 
 ZERO = frozenset({0})
 
@@ -300,17 +300,6 @@ def _elementary_abelian_prime(B: SkewBrace, members: frozenset[int]) -> int | No
         return None
     p = orders.pop()
     return p if _prime_power(len(members)) == p else None
-
-
-def _prime_power(n: int) -> int | None:
-    """The prime p when n = p^k with k >= 1, else None."""
-    # the least divisor above 1 is prime
-    p = next((d for d in range(2, n + 1) if n % d == 0), None)
-    if p is None:
-        return None
-    while n % p == 0:
-        n //= p
-    return p if n == 1 else None
 
 
 def classify_chief_factor(B: SkewBrace, lower: frozenset[int],

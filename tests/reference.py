@@ -8,6 +8,7 @@ import itertools
 import random
 
 from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_brace
+from braceforge.catalog import cyclic, dicyclic, dihedral, direct_product_group
 from braceforge.groups import (
     FiniteGroup,
     _ambient_perms,
@@ -17,6 +18,7 @@ from braceforge.groups import (
     compose,
     group_isomorphism,
     grow_closure,
+    pair_pool,
     regular_subgroups,
     validate_group,
 )
@@ -60,6 +62,11 @@ def reference_hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens, im
             if mapping[G.table[a][b]] != H.table[ma][mapping[b]]:
                 return None
     return tuple(mapping)
+
+
+# four of the fourteen groups of order 16, all of them 2-groups
+ORDER_16 = [direct_product_group(cyclic(4), cyclic(4)), direct_product_group(cyclic(8), cyclic(2)),
+            direct_product_group(dihedral(4), cyclic(2)), direct_product_group(dicyclic(2), cyclic(2))]
 
 
 # seeds of relabelled_group(alternating_5(), seed); on 4 and 11 generating_set returns three generators
@@ -125,6 +132,33 @@ def reference_simple_inner_regular_subgroups(G: FiniteGroup):
     """The exhaustive search of G's inner sub-holomorph, filtered to the subgroups isomorphic to G."""
     return [H for H in regular_subgroups(G, "inner")
             if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None]
+
+
+def holomorph(G: FiniteGroup) -> FiniteGroup:
+    """The semidirect product of G by its full automorphism group, as one (n k)^2 table.
+
+    Pairs (g, phi) are indexed as g*|Aut| + i with (0, id) at index 0 and the
+    product (g, phi)(h, psi) = (g phi(h), phi psi).
+    """
+    pool = pair_pool(G, "holomorph")
+    k = len(pool)
+    n = G.order
+    table = []
+    for g in range(n):
+        for i in range(k):
+            pi = pool.perms[i]
+            ci = pool.comp[i]
+            row = [0] * (n * k)
+            col = 0
+            for h in range(n):
+                gh = G.table[g][pi[h]]
+                base = gh * k
+                for j in range(k):
+                    row[col] = base + ci[j]
+                    col += 1
+            table.append(row)
+    name = f"Hol({G.name})" if G.name else None
+    return _group_unchecked(table, name)
 
 
 def brute_comp(perms):

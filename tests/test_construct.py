@@ -21,9 +21,11 @@ from braceforge.groups import (
     compose,
     identity_perm,
     regular_subgroups,
+    validate_group,
 )
 from reference import (
     A5_SEEDS,
+    ORDER_16,
     invert,
     is_automorphism,
     reference_simple_inner_regular_subgroups,
@@ -191,14 +193,24 @@ class TestOrbitCensus:
                      for e in least_member_filter(group.group, enumerate_braces_on(group.group))]
         assert fields(enumerate_braces(n)) == fields(reference)
 
-    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("n", [8])
     def test_missing_raw_subgroup_raises(self, monkeypatch, n):
         # drop each group's last raw subgroup: another member of its orbit maps onto it.
-        # (A class that is one subgroup alone, like C4's last, leaves no trace when dropped.)
+        # (A class that meets G x| P once, like each of C2xC2's, leaves no trace when
+        # dropped: only the comparison with the holomorph search below can see it.)
         monkeypatch.setattr(construct, "regular_subgroups",
                             lambda G, ambient: regular_subgroups(G, ambient)[:-1])
         with pytest.raises(InternalInvariant):
             enumerate_braces(n)
+
+    @pytest.mark.parametrize("name", ["C2xC2xC2", "Q8"])
+    def test_missing_raw_subgroup_in_a_shared_orbit_raises(self, monkeypatch, name):
+        # the last raw subgroup's orbit meets G x| P 10 times on C2xC2xC2 and 3 times on Q8
+        G = next(e.group for e in groups_of_order(8) if e.name == name)
+        monkeypatch.setattr(construct, "regular_subgroups",
+                            lambda G, ambient: regular_subgroups(G, ambient)[:-1])
+        with pytest.raises(InternalInvariant, match="outside the raw regular subgroups"):
+            enumerate_braces(8, extra_groups=[G])
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_validates_each_group_once_and_each_class(self, monkeypatch, n):
@@ -225,6 +237,11 @@ class TestOrbitCensus:
         G = symmetric_group(3)  # a fresh object, so nothing is memoised on it yet
         assert len(enumerate_braces(6, extra_groups=[G])) == 4
         assert built == [6]
+        # C2xC2xC2 searches G x| P for |P| = 8 on the one table of Aut(G)
+        built.clear()
+        G = validate_group(next(e.group for e in groups_of_order(8) if e.name == "C2xC2xC2").table)
+        assert len(enumerate_braces(8, extra_groups=[G])) == 8
+        assert built == [168]
 
 
 def least_table_members(G, raw: list[RegularSubgroup]) -> list[RegularSubgroup]:
@@ -249,13 +266,27 @@ def least_table_members(G, raw: list[RegularSubgroup]) -> list[RegularSubgroup]:
 class TestOrbitRepresentatives:
     @pytest.mark.parametrize("n", range(1, 16))
     def test_keeps_the_least_table_of_each_orbit(self, n):
+        # the walk from the raw subgroups of G x| P keeps the least member of each
+        # orbit of the whole holomorph's regular subgroups
         for entry in groups_of_order(n):
             G = entry.group
-            raw = regular_subgroups(G)
-            got = construct._orbit_representatives(G, raw)
+            got = construct._orbit_representatives(G, regular_subgroups(G, "sylow"))
             assert all(mul == H.multiplication_table() for mul, H in got), entry.name
             assert [H.assignment for _, H in got] == \
-                [H.assignment for H in least_table_members(G, raw)], entry.name
+                [H.assignment for H in least_table_members(G, regular_subgroups(G))], entry.name
+
+    # raw[1] is the first of 5 raw subgroups in one class; the last raw subgroup of the
+    # holomorph search lies outside G x| P
+    @pytest.mark.parametrize("raw, message", [
+        (lambda raw: raw[:1] + raw[2:], "outside the raw regular subgroups"),
+        (lambda raw: raw + raw[-1:], "the orbits meet 28 raw regular subgroups, not the 29"),
+        (lambda raw: raw + regular_subgroups(raw[0].group)[-1:],
+         "a raw regular subgroup lies outside G x| P"),
+    ], ids=["image-inside-missing", "duplicate", "outside"])
+    def test_invariants_on_c2_cubed(self, raw, message):
+        G = next(e.group for e in groups_of_order(8) if e.name == "C2xC2xC2")
+        with pytest.raises(InternalInvariant, match=message):
+            construct._orbit_representatives(G, raw(regular_subgroups(G, "sylow")))
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_builds_no_table_per_raw_subgroup(self, monkeypatch, n):
@@ -270,6 +301,23 @@ class TestOrbitRepresentatives:
         monkeypatch.setattr(RegularSubgroup, "multiplication_table", counting)
         classes = len(enumerate_braces(n))
         assert len(calls) == classes
+
+
+class TestSylowCensus:
+    """The census through G x| P gives the entries of the search of the whole holomorph."""
+
+    @pytest.mark.parametrize("G", [e.group for n in range(1, 16) for e in groups_of_order(n)]
+                             + ORDER_16, ids=lambda G: G.name)
+    def test_same_entries_as_the_holomorph(self, monkeypatch, G):
+        sylow = fields(enumerate_braces(G.order, extra_groups=[G]))
+        # the whole holomorph searched, and P taken as all of Aut(G) by the orbit walk
+        monkeypatch.setattr(construct, "regular_subgroups",
+                            lambda G, ambient: regular_subgroups(G, "holomorph"))
+        monkeypatch.setattr(construct, "_sylow_indices",
+                            lambda G: tuple(range(len(automorphism_group(G)))))
+        assert fields(enumerate_braces(G.order, extra_groups=[G])) == sylow
+        if G in ORDER_16:
+            assert len(sylow) == {"C4xC4": 83, "C8xC2": 66, "D4xC2": 227, "Q8xC2": 118}[G.name]
 
 
 class TestOracle:

@@ -36,17 +36,20 @@ from braceforge.groups import (
     automorphism_group,
     compose,
     group_isomorphism,
-    holomorph,
     identity_perm,
     inner_automorphisms,
     is_simple,
+    pair_pool,
     regular_subgroups,
     subgroups,
+    sylow_indices,
     validate_group,
 )
 from reference import (
     A5_SEEDS,
+    ORDER_16,
     brute_comp,
+    holomorph,
     invert,
     is_automorphism,
     reference_hom_from_generator_images,
@@ -324,7 +327,7 @@ class TestRegularSubgroups:
         with pytest.raises(BoundExceeded):
             regular_subgroups(klein_four())
 
-    @pytest.mark.parametrize("search", [regular_subgroups, holomorph])
+    @pytest.mark.parametrize("search", [regular_subgroups, holomorph, sylow_indices])
     def test_bound_checked_before_the_table_is_built(self, monkeypatch, search):
         # the k x k composition table of Aut(C2^4) alone would hold 20160^2 entries
         built = []
@@ -341,8 +344,6 @@ class TestRegularSubgroups:
 
 
 CATALOG = [entry.group for n in range(1, 16) for entry in groups_of_order(n)]
-ORDER_16 = [direct_product_group(cyclic(4), cyclic(4)), direct_product_group(cyclic(8), cyclic(2)),
-            direct_product_group(dihedral(4), cyclic(2)), direct_product_group(dicyclic(2), cyclic(2))]
 
 
 class TestRegularSubgroupsAgainstPropagation:
@@ -362,6 +363,60 @@ class TestRegularSubgroupsAgainstPropagation:
     def test_order_sixteen(self, G):
         got = [H.assignment for H in regular_subgroups(G)]
         assert got == reference_regular_subgroups(G)
+
+
+P_GROUPS = [G for G in CATALOG + ORDER_16 if groups._prime_power(G.order)]
+
+
+def p_part(p, k):
+    """The largest power of p dividing k."""
+    return p * p_part(p, k // p) if k % p == 0 else 1
+
+
+class TestSylowAmbient:
+    """P = sylow_indices(G) and the search of G x| P."""
+
+    @pytest.mark.parametrize("G", P_GROUPS, ids=lambda G: G.name)
+    def test_sylow_subgroup(self, G):
+        pool = pair_pool(G, "holomorph")
+        P = sylow_indices(G)
+        k = len(pool)
+        part = p_part(groups._prime_power(G.order), k)
+        assert len(P) == part
+        assert P == tuple(sorted(P)) and P[0] == 0
+        members = set(P)
+        assert all(pool.comp[x][y] in members for x in P for y in P)
+        if part == k:  # |Aut(G)| is a power of p
+            assert P == tuple(range(k))
+
+    @pytest.mark.parametrize("G", [cyclic(1), cyclic(6), symmetric_group(3), cyclic(12)],
+                             ids=lambda G: G.name)
+    def test_every_automorphism_when_the_order_is_no_prime_power(self, G):
+        assert sylow_indices(G) == tuple(range(len(automorphism_group(G))))
+        got = [H.assignment for H in regular_subgroups(G, "sylow")]
+        assert got == [H.assignment for H in regular_subgroups(G)]
+
+    @pytest.mark.parametrize("G", P_GROUPS, ids=lambda G: G.name)
+    def test_search_finds_the_regular_subgroups_inside(self, G):
+        # the holomorph's regular subgroups whose phi all lie in P, same assignments and order
+        members = set(sylow_indices(G))
+        inside = [H.assignment for H in regular_subgroups(G) if members.issuperset(H.assignment)]
+        assert [H.assignment for H in regular_subgroups(G, "sylow")] == inside
+
+    @pytest.mark.parametrize("name, sylow, whole", [
+        ("C2xC2", 2, 4), ("C2xC2xC2", 28, 232), ("Q8", 20, 28), ("C3xC3", 3, 9), ("C9", 3, 3),
+        ("C4", 2, 2), ("C8", 6, 6), ("C4xC2", 28, 28), ("D4", 20, 20)])
+    def test_raw_counts(self, name, sylow, whole):
+        G = next(G for G in P_GROUPS if G.name == name)
+        assert len(regular_subgroups(G, "sylow")) == sylow
+        assert len(regular_subgroups(G)) == whole
+
+    def test_bound_checked_on_cache_hit(self, monkeypatch):
+        G = klein_four()
+        assert len(sylow_indices(G)) == 2
+        monkeypatch.setattr(groups, "DEFAULT_HOLOMORPH_BOUND", 10)
+        with pytest.raises(BoundExceeded):
+            sylow_indices(G)
 
 
 class TestPermTable:
