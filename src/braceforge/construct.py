@@ -151,7 +151,9 @@ def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
     """
     pool = pair_pool(G, "holomorph")
     perms, comp, inv = pool.perms, pool.comp, pool.inv
-    outside = set(range(len(perms))).difference(_sylow_indices(G))  # Aut(G) less P
+    sylow = _sylow_indices(G)
+    # Aut(G) less P, built only when P is proper
+    outside = set(range(len(perms))).difference(sylow) if len(sylow) < len(perms) else set()
     by_assignment = {H.assignment: H for H in raw}
     if outside and not all(outside.isdisjoint(a) for a in by_assignment):
         raise InternalInvariant("a raw regular subgroup lies outside G x| P")

@@ -436,15 +436,22 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
     with the images already chosen, either way round, differ in signature
     from the generators' products.
     """
+    gens, tuples = _image_tuples(G, H, sig_G, sig_H)
+    for images in tuples:
+        f = _hom_from_generator_images(G, H, gens, images)
+        if f is not None:
+            yield f
+
+
+def _image_tuples(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence, sig_H: Sequence
+                  ) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]]:
+    """The irredundant generators of G, and the image tuples _isomorphisms tries for them."""
     gens = _irredundant(G, G.generators())
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
     # the i < k with the signatures of g_i g_k and g_k g_i, for the image of g_k
     pairs = [[(i, sig_G[G.table[gens[i]][g]], sig_G[G.table[g][gens[i]]]) for i in range(k)]
              for k, g in enumerate(gens)]
-    for images in _pair_consistent_images(H.table, sig_H, candidates, pairs, ()):
-        f = _hom_from_generator_images(G, H, gens, images)
-        if f is not None:
-            yield f
+    return gens, _pair_consistent_images(H.table, sig_H, candidates, pairs, ())
 
 
 def _pair_consistent_images(table: Sequence[Sequence[int]], sig: Sequence,
@@ -479,15 +486,53 @@ def _irredundant(G: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:
 
 
 def automorphism_group(G: FiniteGroup) -> list[Perm]:
-    """All automorphisms of G, sorted; generator images pruned by element order."""
+    """All automorphisms of G, sorted: the closure under composition of those that
+    the isomorphism search over generator images finds (see _automorphisms)."""
     check_bound("group order", G.order, enumeration_bound())
     return list(_automorphisms(G))
 
 
 @memoised
 def _automorphisms(G: FiniteGroup) -> list[Perm]:
+    """Aut(G) grown as a closure while the image tuples of _isomorphisms are walked.
+
+    A member's key is its tuple of images of the irredundant generators.  An
+    automorphism is fixed by its key, and composites of automorphisms are
+    automorphisms, so a tuple that is already a member's key is skipped, and
+    only the others get a Cayley-graph fill.  Every automorphism's key is
+    among the tuples walked, so the closure ends as Aut(G).  Each successful
+    fill becomes the next generator of the closure, grown as grow_closure
+    grows one: every old member times the new generator once, then every new
+    member times each generator.  The key of m o s is m at the key of s, so a
+    product is built in full only when it is new.  By Lagrange each growth
+    multiplies the closure's size by an integer, which is checked.
+    """
     orders = G._orders()
-    return sorted(_isomorphisms(G, G, orders, orders))
+    gens, tuples = _image_tuples(G, G, orders, orders)
+    members = [identity_perm(G.order)]
+    keys = {gens}
+    generators: list[tuple[Perm, tuple[int, ...]]] = []
+    for images in tuples:
+        if images in keys:
+            continue
+        f = _hom_from_generator_images(G, G, gens, images)
+        if f is None:
+            continue
+        generators.append((f, images))
+        old = len(members)
+        i = 0
+        while i < len(members):
+            m = members[i]
+            for s, key_s in generators[-1:] if i < old else generators:
+                key = compose(m, key_s)
+                if key not in keys:
+                    keys.add(key)
+                    members.append(compose(m, s))
+            i += 1
+        if len(members) % old:
+            raise InternalInvariant(f"a new automorphism grew the closure from {old} to "
+                                    f"{len(members)} members, not a multiple")
+    return sorted(members)
 
 
 def inner_automorphisms(G: FiniteGroup) -> list[Perm]:

@@ -25,6 +25,7 @@ from braceforge.catalog import (
 from braceforge.errors import (
     BoundExceeded,
     GroupValidationError,
+    InternalInvariant,
     NoIdentityAtZero,
     NotAssociative,
     NotClosed,
@@ -226,6 +227,35 @@ class TestAutomorphisms:
         for G in relabellings:
             auts = automorphism_group(G)
             assert len(auts) == 120 and auts == reference_isomorphisms(G, G)
+
+    @pytest.mark.parametrize("G,count", [
+        (ORDER_16[0], 96), (ORDER_16[1], 16), (ORDER_16[2], 64), (ORDER_16[3], 192),
+        (direct_product_group(cyclic(5), cyclic(5)), 480),
+    ], ids=["C4xC4", "C8xC2", "D4xC2", "Q8xC2", "C5xC5"])
+    def test_matches_the_unpruned_search_beyond_the_catalog(self, G, count):
+        auts = automorphism_group(G)
+        assert len(auts) == count and auts == reference_isomorphisms(G, G)
+
+    def test_every_map_is_an_automorphism_on_relabelled_a5(self):
+        for seed in A5_SEEDS:
+            G = relabelled_group(alternating_5(), seed)
+            assert all(is_automorphism(G, f) for f in automorphism_group(G)), seed
+
+    def test_no_generator_and_one_generator(self):
+        # C1 has no generators: the one empty image tuple is the identity's key
+        assert automorphism_group(cyclic(1)) == [(0,)]
+        G = cyclic(9)
+        assert G.generators() == (1,)
+        assert automorphism_group(G) == sorted(tuple(k * x % 9 for x in range(9))
+                                               for k in (1, 2, 4, 5, 7, 8))
+
+    def test_a_closure_that_breaks_lagrange_raises(self, monkeypatch):
+        # a fill that returns the same non-automorphism for the images 2 and 4
+        # of C5's generator grows the closure from 3 to 4 members
+        monkeypatch.setattr(groups, "_hom_from_generator_images",
+                            lambda G, H, gens, images: (0, 2, 3, 1, 4))
+        with pytest.raises(InternalInvariant, match="from 3 to 4 members"):
+            automorphism_group(cyclic(5))
 
     def test_inner_abelian_is_trivial(self):
         assert inner_automorphisms(cyclic(4)) == [identity_perm(4)]
@@ -561,20 +591,23 @@ class TestPairProductCheck:
         monkeypatch.setattr(groups, "_hom_from_generator_images", counting)
         return calls
 
-    def test_aut_a5_fills_only_the_automorphisms(self, monkeypatch):
+    def test_aut_a5_fills_only_four_closure_generators(self, monkeypatch):
         # the catalog labelling has three irredundant generators: 4,500 tuples
-        # of equal element orders, of which the pair check keeps the 120 maps
+        # of equal element orders, of which the pair check keeps the 120 maps;
+        # the first four fills generate Aut(A5), and every later tuple is the
+        # key of a member of their closure
         G = validate_group(alternating_5().table)
         assert len(groups._irredundant(G, G.generators())) == 3
         calls = self.count_fills(monkeypatch)
         assert len(automorphism_group(G)) == 120
-        assert len(calls) == 120
+        assert len(calls) == 4
 
     def test_catalog_fill_count(self, monkeypatch):
         catalog = [validate_group(e.group.table) for n in range(1, 16) for e in groups_of_order(n)]
         calls = self.count_fills(monkeypatch)
         assert sum(len(automorphism_group(G)) for G in catalog) == 462
-        assert len(calls) == 516  # 685 by element order alone
+        # 685 by element order alone, 516 with the pair check and one fill per automorphism
+        assert len(calls) == 106
 
 
 def tried_image_tuples(G, H):
