@@ -21,6 +21,12 @@ lambda_x lambda_y(z)) turns r12 into (x, y, z) -> (y, sigma_y(x), z); then
 the middle output of the conjugated relation is (3), and given (3) the last
 output is (2).
 
+(2) involves z only through the row sigma_z and (3) involves x only through
+the row lambda_x, so each is checked once per distinct row; (1) reads
+rho_y(x), so it is checked once per point.  Each composition of two distinct
+rows is built once: a brace solution has one lambda row per element of
+lambda(B), and its sigma rows repeat in the same way.
+
 Decomposition witnesses are nested chains of subsets with coset
 partitions.  The block swaps of a series' cosets are checked once
 per (brace, series) on the whole carrier; every r-closed subset inherits
@@ -34,7 +40,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .braces import SkewBrace, quotient, require_ideal, sub_brace
 from .errors import (
@@ -92,9 +98,12 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
 
     The braid relation is accepted by identities (1)-(3) of the module
     docstring, exact for a map whose rows are bijections, compared as whole
-    rows of composed permutations (`_braid_criterion`).  Only a rejection
-    runs the lexicographic scan over the triples (`_braid_scan`), which
-    raises BraidFailed at the first failing one; when it finds none,
+    rows of composed permutations (`_braid_criterion`).  Each composition of
+    two distinct lambda or sigma rows is built once: with d_lambda and d_sigma
+    distinct rows that is d_lambda^2 + d_sigma^2 + 2 d_lambda d_sigma of
+    them, 4 m^2 when every row is distinct.  Only a rejection runs the
+    lexicographic scan over the triples (`_braid_scan`), which raises
+    BraidFailed at the first failing one; when it finds none,
     InternalInvariant is raised.
     """
     m = len(lambda_tab)
@@ -125,44 +134,74 @@ def validate_solution(lambda_tab: Sequence[Sequence[int]],
 def _braid_criterion(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> bool:
     """Whether identities (1)-(3) of the module docstring hold; lambda's rows are bijections.
 
-    (1) and (2) each compare compositions of two rows of one table of m
-    permutations (`_products_agree`); (3) gathers both sides for each x as
-    rows over z.  Every composition is one `operator.itemgetter` gather.
+    The rows of lambda and of sigma are indexed by first appearance
+    (`_row_index`), and every product of two distinct rows is built once,
+    by `_row_products`.  With d_lambda and d_sigma distinct rows that is
+    d_lambda^2 + d_sigma^2 + 2 d_lambda d_sigma gathers of length m, plus
+    O(m) gathers of row references; when every row is distinct it is the
+    4 m^2 compositions that checking each identity point by point builds.
+    (2) involves z only through sigma_z and (3) involves x only through
+    lambda_x, so each is checked once per distinct row, as two rows over y
+    of references into the products.  (1) reads rho_y(x), so it is checked
+    once per point x.  Each table of products is dropped before the next one
+    is built, and the products sigma_z o lambda_x are built per lambda row as
+    they are compared, so at most one table is alive at a time: a live table
+    of m^2 products costs the garbage collector more than products freed as
+    they go.
     """
     m = len(lam)
     if m < 2:
         return True  # the only bijective tables on one point are the flip
+    lid, lam_rows = _row_index(lam)
+    at_lam = operator.itemgetter(*lid)
+    lam_through = [operator.itemgetter(*row) for row in lam_rows]
+    # (1) for each x as rows over y: firsts[i][y] = lam_rows[i] o lambda_y, so
+    # lambda_x lambda_y is firsts[lid[x]][y] and lambda_{lambda_x(y)}
+    # lambda_{rho_y(x)} is entry rho_y(x) of the row for the point lambda_x(y)
+    firsts = [at_lam(row) for row in zip(*_row_products(lam_rows, lam_through))]
+    by_point = at_lam(firsts)
+    get = operator.getitem
+    for i, cols in zip(lid, zip(*rho)):
+        if firsts[i] != tuple(map(get, lam_through[i](by_point), cols)):
+            return False
+    del firsts, by_point
     # sig[y][x] = sigma_y(x): row x of rho's transpose, rho_t[x][y] = rho_y(x),
     # is read through lambda_x^-1 (the points sorted by their lambda_x
     # image), then column y of the result through lambda_y
-    inverses = (sorted(range(m), key=row.__getitem__) for row in lam)
-    sig = tuple(map(compose, lam, zip(*map(compose, zip(*rho), inverses))))
-    if not _products_agree(lam, rho, tuple(zip(*lam))):
+    inverses = [sorted(range(m), key=row.__getitem__) for row in lam_rows]
+    sig = tuple(map(compose, lam, zip(*map(compose, zip(*rho), at_lam(inverses)))))
+    sid, sig_rows = _row_index(sig)
+    at_sig = operator.itemgetter(*sid)
+    sig_through = [operator.itemgetter(*row) for row in sig_rows]
+    # (2) for each distinct sigma_z and (3) for each distinct lambda_x, as f:
+    # over y, f sigma_y against sigma_{f(y)} f; ss[k][j] = sig_rows[j] o sig_rows[k]
+    ss = list(_row_products(sig_rows, sig_through))
+    if not all(at_sig(before) == g(at_sig(after))
+               for before, after, g in zip(zip(*ss), ss, sig_through)):
         return False
-    if not _products_agree(sig, itertools.repeat(range(m)), tuple(zip(*sig))):
-        return False
-    # (3) for each x as rows over z: h(lam_x) is lambda_x o sigma_z, and g,
-    # which reads through lambda_x, lists the rows sigma_{lambda_x(z)} as
-    # g(sig) and turns each row into row o lambda_x
-    after_sig = [operator.itemgetter(*row) for row in sig]
-    for lam_x in lam:
-        g = operator.itemgetter(*lam_x)
-        if [h(lam_x) for h in after_sig] != list(map(g, g(sig))):
-            return False
-    return True
+    del ss
+    lam_sig = zip(*_row_products(lam_rows, sig_through))  # [i][k] = lam_rows[i] o sig_rows[k]
+    sig_lam = _row_products(sig_rows, lam_through)  # [i][k] = sig_rows[k] o lam_rows[i]
+    return all(at_sig(before) == g(at_sig(after))
+               for before, after, g in zip(lam_sig, sig_lam, lam_through))
 
 
-def _products_agree(rows: Sequence[tuple[int, ...]], first: Iterable[Sequence[int]],
-                    second: Sequence[Sequence[int]]) -> bool:
-    """Whether rows[x] o rows[y] == rows[second[y][x]] o rows[first[y][x]] for all x, y.
+def _row_index(table: Sequence[tuple[int, ...]]) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each row's index among the distinct rows, and those rows in order of first appearance."""
+    index: dict[tuple[int, ...], int] = {}
+    ids = [index.setdefault(row, len(index)) for row in table]
+    return ids, list(index)
 
-    The m^2 compositions are built once, as table[y][x] = rows[x] o rows[y],
-    and each side is a row of that table or one gathered from it.
+
+def _row_products(lefts: Sequence[tuple[int, ...]],
+                  rights: Iterable[operator.itemgetter]) -> Iterator[list[tuple[int, ...]]]:
+    """Row j is [lefts[i] o r_j for each i], where rights[j] is the `operator.itemgetter` of r_j.
+
+    Every row product of `_braid_criterion` is built here: each right
+    factor's gather is mapped over the left rows.  The rows come one at a
+    time, so a caller that compares them as they come never holds the table.
     """
-    table = [list(map(operator.itemgetter(*row), rows)) for row in rows]
-    get = operator.getitem
-    return all(products == list(map(get, operator.itemgetter(*f)(table), s))
-               for products, f, s in zip(table, first, second))
+    return (list(map(g, lefts)) for g in rights)
 
 
 def _braid_scan(lam: tuple[tuple[int, ...], ...], rho: tuple[tuple[int, ...], ...]) -> None:

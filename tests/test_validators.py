@@ -33,7 +33,7 @@ from braceforge.errors import (
     NotAssociative,
 )
 from braceforge.groups import compose, generating_set, validate_group
-from braceforge.ybe import solution_from_brace, validate_solution
+from braceforge.ybe import flip_solution, solution_from_brace, validate_solution
 
 CENSUS = [e.brace for n in range(1, 13) for e in enumerate_braces(n)]
 ROUNDS = 4  # seeded corruptions drawn per census brace
@@ -189,6 +189,42 @@ def row_swap(rng, table):
     return out
 
 
+def repeated_row_split(rng, table):
+    """The table with two entries swapped in one copy of a row that occurs
+    more than once, so the copy leaves its class of equal rows; None when
+    every row is distinct."""
+    rows = [tuple(row) for row in table]
+    repeated = [x for x, row in enumerate(rows) if rows.count(row) > 1]
+    if not repeated:
+        return None
+    out = [list(row) for row in table]
+    x = rng.choice(repeated)
+    i, j = rng.sample(range(len(out)), 2)
+    out[x][i], out[x][j] = out[x][j], out[x][i]
+    return out
+
+
+def later_copy_swap(rng, rho, lam):
+    """rho with rho_y(x) and rho_y(x') swapped in one random row y, where x
+    and x' each share their lambda row with an earlier point when two such
+    points exist.  Only the rho columns of x and x' change, at one entry each."""
+    later = [x for x, row in enumerate(lam) if tuple(row) in map(tuple, lam[:x])]
+    i, j = rng.sample(later if len(later) > 1 else range(len(rho)), 2)
+    out = [list(row) for row in rho]
+    y = rng.randrange(len(out))
+    out[y][i], out[y][j] = out[y][j], out[y][i]
+    return out
+
+
+def distinct_rows(S):
+    """(d_lambda, d_sigma): the numbers of distinct lambda and sigma rows of a
+    solution, with sigma_y(x) = lambda_y(rho_{lambda_x^-1(y)}(x))."""
+    m, lam, rho = S.size, S.lambda_tab, S.rho_tab
+    inv = [[row.index(v) for v in range(m)] for row in lam]
+    sig = {tuple(lam[y][rho[inv[x][y]][x]] for x in range(m)) for y in range(m)}
+    return len(set(lam)), len(sig)
+
+
 def kinds(verdicts):
     return {v[0] for v in verdicts}
 
@@ -255,6 +291,31 @@ class TestDifferential:
         assert "BraidFailed" in kinds(seen)
         witnesses = [v[2] for v in seen if v[0] == "BraidFailed"]
         assert any(x > 0 for x, _, _ in witnesses) and any(z > 0 for _, _, z in witnesses)
+
+    def test_split_lambda_classes_and_rho_edits_at_later_copies(self):
+        # (2) and (3) are checked once per distinct row and (1) once per point:
+        # split a class of equal lambda rows, or edit rho at points whose
+        # lambda row an earlier point already has, on the census solutions up
+        # to 15 points and the products up to 30 points; solutions whose rows
+        # are all distinct take a lambda row swap instead
+        rng = random.Random(15)
+        seen, all_distinct = [], 0
+        for B in CENSUS + large_braces():
+            if B.order < 2:
+                continue
+            S = solution_from_brace(B)
+            if distinct_rows(S) == (S.size, S.size):
+                all_distinct += 1
+                assert solution_verdict(S.lambda_tab, S.rho_tab) == \
+                    verdict(lambda: braid_scan(S.lambda_tab, S.rho_tab))
+            split = repeated_row_split(rng, S.lambda_tab) or row_swap(rng, S.lambda_tab)
+            for lam, rho in ((split, S.rho_tab),
+                             (S.lambda_tab, later_copy_swap(rng, S.rho_tab, S.lambda_tab))):
+                got = solution_verdict(lam, rho)
+                assert got == verdict(lambda: braid_scan(lam, rho)), (lam, rho)
+                seen.append(got)
+        assert all_distinct == 5  # census 6/3, 10/3, 12/22, 12/27 and 14/3
+        assert {"ok", "BraidFailed"} <= kinds(seen)
 
     def test_every_map_with_bijective_rows_on_up_to_three_points(self):
         seen = []
@@ -328,6 +389,43 @@ class TestDifferential:
         got = group_verdict(table)
         assert got == verdict(lambda: assoc_scan(table))
         assert got[0] == "NotAssociative"
+
+
+class TestRowProducts:
+    """`_braid_criterion` builds each composition of two distinct rows once,
+    d_lambda^2 + d_sigma^2 + 2 d_lambda d_sigma in all, every one through
+    `ybe._row_products`."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        counts = []
+        real = ybe._row_products
+
+        def counting(lefts, rights):
+            for row in real(lefts, rights):
+                counts.append(len(row))
+                yield row
+
+        monkeypatch.setattr(ybe, "_row_products", counting)
+        return counts
+
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_flip_builds_four(self, built, m):
+        S = flip_solution(m)
+        assert validate_solution(S.lambda_tab, S.rho_tab) == S
+        assert sum(built) == 4
+
+    def test_census_solution_of_order_12(self, built):
+        S = solution_from_brace(enumerate_braces(12)[15].brace)
+        assert distinct_rows(S) == (3, 6)
+        assert validate_solution(S.lambda_tab, S.rho_tab) == S
+        assert sum(built) == 81  # 3^2 + 6^2 + 2 * 3 * 6, against 4 * 12^2 point by point
+
+    def test_all_rows_distinct(self, built):
+        S = solution_from_brace(enumerate_braces(14)[3].brace)
+        assert distinct_rows(S) == (14, 14)
+        assert validate_solution(S.lambda_tab, S.rho_tab) == S
+        assert sum(built) == 4 * 14 * 14
 
 
 KERNELS = pytest.mark.parametrize("module, kernel", [
