@@ -5,8 +5,12 @@ Hol(G): the subgroup {(b, lambda_b)} recovers the brace via bc = b + phi_b(c).
 The census keeps one regular subgroup per orbit of the additive automorphism
 group, which is one per brace isomorphism class, for every additive group of
 the given order; it searches only G x| P for a Sylow subgroup P of Aut(G)
-when |G| is a prime power, since every orbit meets it.  An independent oracle
-re-derives the small censuses by scanning all maps from G into Aut(G).
+when |G| is a prime power, since every orbit meets it.  Each class's brace is
+built from its representative's pairs, certified by phi_0 = 1 and Light's
+associativity test on its product table (see _census_entry);
+brace_from_regular_subgroup and enumerate_braces_on validate in full.  An
+independent oracle re-derives the small censuses by scanning all maps from G
+into Aut(G).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .groups import (
     FiniteGroup,
     RegularSubgroup,
     _group_unchecked,
+    _light_associative,
     _sylow_indices,
     assert_simple_nonabelian,
     automorphism_group,
@@ -100,25 +105,41 @@ def _identify_group(G: FiniteGroup) -> tuple[int | None, str | None]:
 
 def _census_entry(add: FiniteGroup, H: RegularSubgroup, mul: tuple[tuple[int, ...], ...],
                   add_id: int | None, add_name: str | None) -> CensusEntry:
-    """The census entry of H from its product table mul, validated as brace_from_regular_subgroup
-    validates but on add, the caller's once-validated copy of H's group; the lambda check
-    below ties mul to H."""
-    _check_pairs(add, H)
-    with _not_regular():
-        brace = _brace_of_groups(add, _group_of("mul", mul))
-    if brace.lam != tuple(H.perm(g) for g in add.elements()):
-        raise InternalInvariant("lambda maps differ from the defining subgroup")
-    mul_id, mul_name = _identify_group(brace.mul)
+    """The census entry of H, built from its product table mul with one certificate.
+
+    add is the caller's once-validated copy of H's group, and every phi_g is
+    a member of automorphism_group(add), so row g of mul, add's row g
+    composed with phi_g, is a permutation, and lambda_g = -g + g*_ = phi_g.
+    Two facts remain, each raising InternalInvariant when it fails.  Row 0
+    of mul is phi_0, and every phi_g fixes 0, so 0 is the identity of mul
+    exactly when phi_0 is.  Light's test on mul's generators proves
+    associativity, which for mul[g][h] = g + phi_g(h) says phi_{gh} =
+    phi_g phi_h: H is closed under the holomorph product.  A finite monoid
+    whose left translations are bijections is a group, so the columns need
+    no scan, and the brace law holds because every phi_g is additive.  The
+    generators the test computes stay memoised for _identify_group.
+    """
+    if mul[0] != tuple(add.elements()):
+        raise InternalInvariant("phi_0 of a census representative is not the identity")
+    group = FiniteGroup(mul, tuple([row.index(0) for row in mul]))
+    if not _light_associative(mul, group.generators()):
+        raise InternalInvariant("a census representative is not closed under the product")
+    brace = SkewBrace(add, group, tuple(H.perm(g) for g in add.elements()))
+    mul_id, mul_name = _identify_group(group)
     return CensusEntry(brace, add_id, add_name, mul_id, mul_name, H)
 
 
 def enumerate_braces_on(G: FiniteGroup) -> list[CensusEntry]:
-    """One fully validated entry per regular subgroup of Hol(G), canonically ordered."""
+    """One entry per regular subgroup of Hol(G), canonically ordered, each built by
+    brace_from_regular_subgroup, which validates both tables and the brace law."""
     with _not_regular():
-        add = _group_of("add", G.table)
+        _group_of("add", G.table)  # a malformed G fails here, before the search
     add_id, add_name = _identify_group(G)
-    return [_census_entry(add, H, H.multiplication_table(), add_id, add_name)
-            for H in regular_subgroups(G, "holomorph")]
+    entries = []
+    for H in regular_subgroups(G, "holomorph"):
+        brace = brace_from_regular_subgroup(G, H)
+        entries.append(CensusEntry(brace, add_id, add_name, *_identify_group(brace.mul), H))
+    return entries
 
 
 def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
@@ -206,12 +227,14 @@ def enumerate_braces(n: int, *,
     groups.sylow_indices (all of Aut(G) unless |G| is a prime power), so
     regular_subgroups(G, "sylow") is searched, and _orbit_representatives
     applies all of Aut(G) to it and keeps the member of each whole orbit with
-    the least product table; only these representatives are built, validated
-    and identified, in product-table order.  Every other member is a
-    relabelling of a validated brace by an additive automorphism, proven so
-    by the orbit walk's invariants; enumerate_braces_on still builds and
-    validates every regular subgroup of the whole holomorph, and the tests
-    compare the two.
+    the least product table; only these representatives are built into
+    braces and identified, in product-table order.  G is validated once; each
+    representative's brace is built from its pairs and certified by
+    _census_entry's two checks, phi_0 = 1 and Light's test on its product
+    table.  Every other member is a relabelling of a certified brace by an
+    additive automorphism, proven so by the orbit walk's invariants;
+    enumerate_braces_on still builds and fully validates every regular
+    subgroup of the whole holomorph, and the tests compare the two.
     """
     if extra_groups is not None:
         groups = list(enumerate(extra_groups))

@@ -431,10 +431,12 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
     tuple.  Each generator multiplies the number of tuples by the size of its
     candidate list, and the image of one that the others generate is fixed by
     theirs, so such generators are dropped first (see _irredundant).  A map
-    that preserves the signatures of all elements sends g_i g_j to h_i h_j,
-    so an image is skipped, before any Cayley-graph fill, when its products
-    with the images already chosen, either way round, differ in signature
-    from the generators' products.
+    that preserves the signatures of all elements sends g_i g_k to h_i h_k
+    and g_i^-1 g_k to h_i^-1 h_k, so an image h_k is skipped, before any
+    Cayley-graph fill, when h_i h_k, h_k h_i or h_i^-1 h_k, for an image h_i
+    already chosen, differs in signature from g_i g_k, g_k g_i or g_i^-1 g_k.
+    g_k g_i is redundant for element orders, being conjugate to g_i g_k, but
+    not for the brace signatures that is_isomorphic passes.
     """
     gens, tuples = _image_tuples(G, H, sig_G, sig_H)
     for images in tuples:
@@ -445,28 +447,37 @@ def _isomorphisms(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence,
 
 def _image_tuples(G: FiniteGroup, H: FiniteGroup, sig_G: Sequence, sig_H: Sequence
                   ) -> tuple[tuple[int, ...], Iterator[tuple[int, ...]]]:
-    """The irredundant generators of G, and the image tuples _isomorphisms tries for them."""
+    """The irredundant generators of G, and the image tuples _isomorphisms tries for them.
+
+    For each earlier generator g_i, the image of g_k must give g_i g_k, g_k g_i
+    and g_i^-1 g_k images of their signatures: an isomorphism f maps them to
+    f(g_i) f(g_k), f(g_k) f(g_i) and f(g_i)^-1 f(g_k).
+    """
     gens = _irredundant(G, G.generators())
+    table, inverse = G.table, G.inverse
     candidates = [[h for h in H.elements() if sig_H[h] == sig_G[g]] for g in gens]
-    # the i < k with the signatures of g_i g_k and g_k g_i, for the image of g_k
-    pairs = [[(i, sig_G[G.table[gens[i]][g]], sig_G[G.table[g][gens[i]]]) for i in range(k)]
+    pairs = [[(i, sig_G[table[gi][g]], sig_G[table[g][gi]], sig_G[table[inverse[gi]][g]])
+              for i, gi in enumerate(gens[:k])]
              for k, g in enumerate(gens)]
-    return gens, _pair_consistent_images(H.table, sig_H, candidates, pairs, ())
+    return gens, _pair_consistent_images(H, sig_H, candidates, pairs, ())
 
 
-def _pair_consistent_images(table: Sequence[Sequence[int]], sig: Sequence,
+def _pair_consistent_images(H: FiniteGroup, sig: Sequence,
                             candidates: Sequence[Sequence[int]], pairs: Sequence[Sequence[tuple]],
                             images: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The extensions of images by one candidate per further generator, in lexicographic
-    order, whose products with the images before them have the signatures in pairs."""
+    order, whose products h_i h, h h_i and h_i^-1 h with each image h_i before them have
+    the signatures in pairs."""
     k = len(images)
     if k == len(candidates):
         yield images
         return
+    table, inverse = H.table, H.inverse
     for h in candidates[k]:
         if all(sig[table[images[i]][h]] == left and sig[table[h][images[i]]] == right
-               for i, left, right in pairs[k]):
-            yield from _pair_consistent_images(table, sig, candidates, pairs, images + (h,))
+               and sig[table[inverse[images[i]]][h]] == quotient
+               for i, left, right, quotient in pairs[k]):
+            yield from _pair_consistent_images(H, sig, candidates, pairs, images + (h,))
 
 
 def _irredundant(G: FiniteGroup, gens: Sequence[int]) -> tuple[int, ...]:

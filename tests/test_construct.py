@@ -214,16 +214,27 @@ class TestOrbitCensus:
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_validates_each_group_once_and_each_class(self, monkeypatch, n):
+        # each additive group is validated once and no class is; Light's test runs
+        # once on each additive group, inside validate_group, and once on each
+        # class's product table, as its certificate
         catalog = groups_of_order(n)  # built, and validated, before counting
-        calls = []
+        calls, light = [], []
         for module in (groups, braces, construct, catalog_module):
             def counting(table, _original=module.validate_group):
                 calls.append(table)
                 return _original(table)
 
             monkeypatch.setattr(module, "validate_group", counting)
+        for module in (groups, construct):
+            def counting_light(rows, gens, _original=module._light_associative):
+                light.append(rows)
+                return _original(rows, gens)
+
+            monkeypatch.setattr(module, "_light_associative", counting_light)
         census = enumerate_braces(n)
-        assert len(calls) == len(census) + len(catalog)
+        assert calls == [e.group.table for e in catalog]
+        assert light == [t for e in catalog for t in [e.group.table] + [
+            c.brace.mul.table for c in census if c.add_group_id == e.id]]
 
     def test_automorphism_table_built_once_per_group(self, monkeypatch):
         built = []
@@ -242,6 +253,92 @@ class TestOrbitCensus:
         G = validate_group(next(e.group for e in groups_of_order(8) if e.name == "C2xC2xC2").table)
         assert len(enumerate_braces(8, extra_groups=[G])) == 8
         assert built == [168]
+
+
+def swap_adjacent_phi(H: RegularSubgroup) -> RegularSubgroup | None:
+    """H with phi swapped at the first g >= 1 where phi_g and phi_{g+1} differ, if any."""
+    a = H.assignment
+    g = next((g for g in range(1, len(a) - 1) if a[g] != a[g + 1]), None)
+    if g is None:
+        return None
+    swapped = a[:g] + (a[g + 1], a[g]) + a[g + 2:]
+    return RegularSubgroup(H.group, H.pool, swapped)
+
+
+class TestCensusCertificate:
+    """A census class is certified by phi_0 = 1 and Light's test on its product table."""
+
+    @pytest.mark.parametrize("n", list(range(1, 16)) + [16])
+    def test_entries_equal_the_fully_validated_brace(self, n):
+        extra = ORDER_16 if n == 16 else None
+        given = ORDER_16 if n == 16 else [e.group for e in groups_of_order(n)]
+        census = enumerate_braces(n, extra_groups=extra)
+        assert census
+        for e in census:
+            B = e.brace
+            G = given[e.add_group_id]
+            checked = validate_brace(B.add.table, B.mul.table)
+            assert (B.add.table, B.mul.table, B.add.inverse, B.mul.inverse, B.lam) == \
+                (checked.add.table, checked.mul.table, checked.add.inverse,
+                 checked.mul.inverse, checked.lam)
+            rebuilt = brace_from_regular_subgroup(G, e.provenance)
+            assert (rebuilt.add.table, rebuilt.mul.table) == (B.add.table, B.mul.table)
+
+    @staticmethod
+    def skip_identification(monkeypatch):
+        # on a table that is no group, the element-order walk of _identify_group
+        # need not end, so the certificate must stand on its own
+        monkeypatch.setattr(construct, "_identify_group", lambda G: (None, None))
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 12])
+    def test_swapped_phi_raises(self, monkeypatch, n):
+        # the swapped rows are still permutations with identity at 0: only
+        # Light's test sees that the pairs are no longer closed
+        self.skip_identification(monkeypatch)
+        original = construct._orbit_representatives
+
+        def swapped(G, raw):
+            out = original(G, raw)
+            for k, (_, H) in enumerate(out):
+                bad = swap_adjacent_phi(H)
+                if bad is not None:
+                    out[k] = (bad.multiplication_table(), bad)
+                    break
+            return out
+
+        monkeypatch.setattr(construct, "_orbit_representatives", swapped)
+        with pytest.raises(InternalInvariant, match="not closed under the product"):
+            enumerate_braces(n)
+
+    # the classes of each order with two adjacent distinct phi_g, g >= 1
+    @pytest.mark.parametrize("n, swappable", [(4, 2), (6, 4), (8, 42), (12, 33)])
+    def test_each_swapped_class_is_rejected(self, monkeypatch, n, swappable):
+        self.skip_identification(monkeypatch)
+        rejected = 0
+        for group in groups_of_order(n):
+            G = validate_group(group.group.table)
+            for _, H in construct._orbit_representatives(G, regular_subgroups(G, "sylow")):
+                bad = swap_adjacent_phi(H)
+                if bad is not None:
+                    with pytest.raises(InternalInvariant, match="not closed"):
+                        construct._census_entry(G, bad, bad.multiplication_table(), None, None)
+                    rejected += 1
+        assert rejected == swappable
+
+    def test_phi_0_not_the_identity_raises(self, monkeypatch):
+        self.skip_identification(monkeypatch)
+        original = construct._orbit_representatives
+
+        def moved(G, raw):
+            out = original(G, raw)
+            _, H = out[-1]
+            bad = RegularSubgroup(H.group, H.pool, (1,) + H.assignment[1:])
+            out[-1] = (bad.multiplication_table(), bad)
+            return out
+
+        monkeypatch.setattr(construct, "_orbit_representatives", moved)
+        with pytest.raises(InternalInvariant, match="phi_0"):
+            enumerate_braces(6)
 
 
 def least_table_members(G, raw: list[RegularSubgroup]) -> list[RegularSubgroup]:

@@ -606,8 +606,19 @@ class TestPairProductCheck:
         catalog = [validate_group(e.group.table) for n in range(1, 16) for e in groups_of_order(n)]
         calls = self.count_fills(monkeypatch)
         assert sum(len(automorphism_group(G)) for G in catalog) == 462
-        # 685 by element order alone, 516 with the pair check and one fill per automorphism
-        assert len(calls) == 106
+        # 685 by element order alone, 516 with the pair check and one fill per automorphism,
+        # 106 with the closure, 98 once g_i^-1 g_k is checked as well
+        assert len(calls) == 98
+
+    def test_relabelled_a5_fill_counts(self, monkeypatch):
+        # 75, 75, 122, 75 and 3 fills with the products g_i g_k and g_k g_i alone
+        calls, fills = self.count_fills(monkeypatch), []
+        for seed in A5_SEEDS:
+            G = relabelled_group(alternating_5(), seed)
+            before = len(calls)
+            assert len(automorphism_group(G)) == 120
+            fills.append(len(calls) - before)
+        assert fills == [3, 3, 2, 3, 3]
 
 
 def tried_image_tuples(G, H):
