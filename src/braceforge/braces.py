@@ -26,6 +26,7 @@ from .groups import (
     check_bound,
     compose,
     enumeration_bound,
+    closure_with_generators,
     identity_perm,
     memoised,
     subgroups,
@@ -229,9 +230,13 @@ def kernel_lambda(B: SkewBrace) -> frozenset[int]:
 
 
 def fix_set(B: SkewBrace) -> frozenset[int]:
-    """Common fixed points of every lambda_b; a left ideal."""
-    out = frozenset(a for a in B.elements()
-                    if all(B.lam[b][a] == a for b in B.elements()))
+    """Common fixed points of every lambda_b; a left ideal.
+
+    lambda_b lambda_c = lambda_bc, so the b whose lambda_b fixes a point form
+    a multiplicative subgroup, and only b among mul.generators() are tried.
+    """
+    lam, gens = B.lam, B.mul.generators()
+    out = frozenset(a for a in B.elements() if all(lam[b][a] == a for b in gens))
     if not classify_subset(B, out).left_ideal:
         raise InternalInvariant("fixed-point set is not a left ideal")
     return out
@@ -255,7 +260,7 @@ def annihilator(B: SkewBrace) -> frozenset[int]:
 
 
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
-    """Decide subbrace / left ideal / ideal on whole rows; memoised on B.
+    """Decide subbrace / left ideal / ideal on generators; memoised on B.
 
     Raises ValueError when a member of S is not an element 0..order-1 of B.
     """
@@ -264,16 +269,28 @@ def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
 
 @memoised
 def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
-    """The flags of key, each closure condition decided by one gather per row.
+    """The flags of key, each closure condition decided on generators.
 
-    In a finite group a subset closed under the operation and holding the
-    identity is a subgroup, so no inverses are scanned.  lambda_b lambda_c =
-    lambda_bc and conjugation by b + c is conjugation by b after c, so
-    lambda_b(S) <= S and b + S - b = S are checked only for b among the
-    multiplicative and additive generators.  A left ideal is a subbrace,
-    since ab = a + lambda_a(b).  In a normal S, a * b = lambda_a(b) - b lies
-    in S exactly when lambda_a(b) lies in the coset b + S, so the star
-    condition compares the coset labels of lambda_a's row with the labels.
+    The ideal conditions are those of Guarnieri-Vendramin (Math. Comp. 2017):
+    an ideal is an additive subgroup S with lambda_b(S) <= S for every b,
+    normal in (B, +), with a * b = lambda_a(b) - b in S for a in S and every
+    b.  S holding 0 is an additive subgroup exactly when the closure that
+    closure_with_generators grows from its members has |S| elements; call the
+    generators that closure took gens_S.  Every map tried below is additive,
+    so it sends S into S exactly when it sends gens_S into S.
+
+    - Left ideal: lambda_b(s) in S for b among mul.generators() and s in
+      gens_S.  The b with lambda_b(S) <= S form a multiplicative subgroup,
+      since lambda_b lambda_c = lambda_bc.
+    - Subbrace, asked only when S is no left ideal (a left ideal is one):
+      lambda_a(s) in S for every a in S and s in gens_S, since ab = a +
+      lambda_a(b).
+    - Normal: b + s - b in S for b among add.generators() and s in gens_S,
+      since conjugation by b + c is conjugation by b after c.
+    - Ideal, for a normal left ideal: lambda_a(b) - b in S for every a in S
+      and b among add.generators().  For each a the b that pass are closed
+      under +, by a * (b + c) = a * b + b + a * c - b with S normal
+      (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).
     """
     n = B.order
     for a in key:
@@ -284,18 +301,16 @@ def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
     if len(key) == 1:
         return SubsetFlags(True, True, True)
     at, ai, lam = B.add.table, B.add.inverse, B.lam
-    pick = operator.itemgetter(*key)
-    if not all(key.issuperset(pick(at[a])) for a in key):
+    members, gens = closure_with_generators(at, key)
+    if len(members) != len(key):
         return SubsetFlags(False, False, False)
-    if not all(key.issuperset(pick(lam[b])) for b in B.mul.generators()):
-        mt = B.mul.table
-        return SubsetFlags(all(key.issuperset(pick(mt[a])) for a in key), False, False)
-    # b + S == S + b, with S + b = -(-b + S) read off rows since S = -S
-    if not all(frozenset(pick(at[b])) == frozenset(map(ai.__getitem__, pick(at[ai[b]])))
-               for b in B.add.generators()):
+    if not all(lam[b][s] in key for b in B.mul.generators() for s in gens):
+        return SubsetFlags(all(lam[a][s] in key for a in key for s in gens), False, False)
+    add_gens = B.add.generators()
+    if not all(at[at[b][s]][ai[b]] in key for b in add_gens for s in gens):
         return SubsetFlags(True, True, False)
-    labels, _ = _left_cosets(at, pick)
-    return SubsetFlags(True, True, all(compose(labels, lam[a]) == labels for a in key))
+    return SubsetFlags(True, True, all(at[lam[a][b]][ai[b]] in key
+                                       for a in key for b in add_gens))
 
 
 def _left_cosets(at: tuple[tuple[int, ...], ...],

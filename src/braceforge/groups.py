@@ -160,6 +160,7 @@ class FiniteGroup:
             orders[g] = k
         return orders
 
+    @memoised
     def order_histogram(self) -> tuple[tuple[int, int], ...]:
         hist: dict[int, int] = {}
         for k in self._orders():
@@ -174,22 +175,28 @@ class FiniteGroup:
     @property
     @memoised
     def is_abelian(self) -> bool:
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in self.elements() for b in self.elements())
+        """The generators commute pairwise.
+
+        The elements commuting with a given one form a subgroup, so then
+        each generator commutes with all of G, and G is its centre.
+        """
+        table, gens = self.table, self.generators()
+        return all(table[a][b] == table[b][a] for a in gens for b in gens)
 
     @memoised
     def center(self) -> frozenset[int]:
-        return frozenset(a for a in self.elements()
-                         if all(self.table[a][b] == self.table[b][a]
-                                for b in self.elements()))
+        """The elements commuting with every generator, n |gens| products.
+
+        The elements commuting with a given one form a subgroup, so one that
+        commutes with the generators commutes with all of G.
+        """
+        table, gens = self.table, self.generators()
+        return frozenset(a for a, row in enumerate(table)
+                         if all(row[g] == table[g][a] for g in gens))
 
     def closure(self, seed: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by seed, grown by grow_closure: O(|K| |gens|) products."""
-        members, seen, gens = [0], [True] + [False] * (self.order - 1), []
-        for g in seed:
-            if not seen[g]:
-                grow_closure(self.table, members, seen, gens, g)
-        return frozenset(members)
+        """Subgroup generated by seed, grown by closure_with_generators: O(|K| |gens|) products."""
+        return frozenset(closure_with_generators(self.table, seed)[0])
 
 
 def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[bool],
@@ -215,6 +222,24 @@ def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[
                 seen[z] = True
                 members.append(z)
         i += 1
+
+
+def closure_with_generators(table: Sequence[Sequence[int]],
+                            seed: Iterable[int]) -> tuple[list[int], list[int]]:
+    """The closure of seed in table and the generators it was grown from.
+
+    The closure is grown by grow_closure from [0], walking seed in increasing
+    order: each element of seed that the closure does not yet hold becomes
+    the next generator.  So every element of seed is a product of the
+    generators, and in a group no generator lies in the subgroup the earlier
+    ones generate.  A seed that holds 0 is a subgroup of a group exactly
+    when the closure has no more members than the seed.
+    """
+    members, seen, gens = [0], [True] + [False] * (len(table) - 1), []
+    for g in sorted(seed):
+        if not seen[g]:
+            grow_closure(table, members, seen, gens, g)
+    return members, gens
 
 
 def _check_latin_with_identity(table: Sequence[Sequence[int]]) -> None:
@@ -300,10 +325,15 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -
 
 
 def _light_associative(rows: tuple[tuple[int, ...], ...], gens: Sequence[int]) -> bool:
-    """Light's test: row(xg) == row(x) . row(g) for every x and every generator g."""
+    """Light's test: row(xg) == row(x) . row(g) for every x and every generator g.
+
+    One itemgetter per generator gathers every row at row(g).  A table of
+    order 1 has no generators, so each getter takes at least two indices
+    and returns a tuple.
+    """
     for g in gens:
-        rg = rows[g]
-        if any(rows[row[g]] != compose(row, rg) for row in rows):
+        gather = operator.itemgetter(*rows[g])
+        if any(rows[row[g]] != gather(row) for row in rows):
             return False
     return True
 
@@ -371,20 +401,14 @@ def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
 def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Small deterministic generating set of a Cayley table, grown greedily by index.
 
-    Every element that the generators so far do not reach becomes the next
-    generator, and grow_closure grows one closure, O(n |S|) products in all.
-    In a group the closure is the subgroup the generators generate, so the
-    choice is the one that re-closing from scratch makes; in any table with
-    identity at 0 every element is a product of the generators.
+    The generators closure_with_generators takes from the whole carrier: every element
+    that the generators so far do not reach becomes the next generator, and
+    one closure is grown, O(n |S|) products in all.  In a group the closure
+    is the subgroup the generators generate, so the choice is the one that
+    re-closing from scratch makes; in any table with identity at 0 every
+    element is a product of the generators.
     """
-    n = len(table)
-    members, seen, gens = [0], [True] + [False] * (n - 1), []
-    for g in range(n):
-        if len(members) == n:
-            break
-        if not seen[g]:
-            grow_closure(table, members, seen, gens, g)
-    return tuple(gens)
+    return tuple(closure_with_generators(table, range(len(table)))[1])
 
 
 def _hom_from_generator_images(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],

@@ -23,20 +23,40 @@ from .braces import (
     subbraces,
 )
 from .errors import InternalInvariant, NotAnIdeal, NotSoluble, TheoremViolation
-from .groups import _prime_power, grow_closure, memoised, subgroups, subset_key
+from .groups import (
+    _prime_power,
+    check_bound,
+    enumeration_bound,
+    grow_closure,
+    closure_with_generators,
+    memoised,
+    subgroups,
+    subset_key,
+)
 
 ZERO = frozenset({0})
 
 
 def all_ideals(B: SkewBrace) -> list[frozenset[int]]:
-    """Every ideal of B: additive subgroups passing the ideal scans."""
+    """Every ideal of B: additive subgroups passing classify_subset; filtered once per B."""
+    check_bound("group order", B.order, enumeration_bound())
+    return list(_all_ideals(B))
+
+
+@memoised
+def _all_ideals(B: SkewBrace) -> list[frozenset[int]]:
     return [S for S in subgroups(B.add) if classify_subset(B, S).ideal]
 
 
 def minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
-    """Non-zero ideals containing no other non-zero ideal."""
-    ideals = all_ideals(B)
-    nonzero = [I for I in ideals if I != ZERO]
+    """Non-zero ideals containing no other non-zero ideal; filtered once per B."""
+    check_bound("group order", B.order, enumeration_bound())
+    return list(_minimal_ideals(B))
+
+
+@memoised
+def _minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
+    nonzero = [I for I in _all_ideals(B) if I != ZERO]
     return [I for I in nonzero if not any(J < I for J in nonzero)]
 
 
@@ -57,32 +77,57 @@ def commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[
 def _commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
     """The ideal generated by the commutator generators, grown by a worklist.
 
-    The generators are read off the raw tables and start one additive
-    closure.  Each element's images under every lambda_b, every additive
-    conjugation b + s - b and every star s * b are taken once, when the
-    element is reached, and an image not yet reached becomes an additive
-    generator.  The members are then closed under +, lambda, conjugation and
-    star, so they are the least ideal holding the generators.
+    i runs over all of I, and j only over generators of J: over J's
+    additive generators (from closure_with_generators) for -i - j + i + j and
+    ij - (i + j), and over its multiplicative ones for i^-1 j^-1 i j.  When
+    J = B these are B.add.generators() and B.mul.generators().  Modulo the
+    final ideal K, which is normal in (B, +) and in (B, .), each set of j
+    that passes is a subgroup: the first two are the j commuting with i in
+    (B, +)/K and in (B, .)/K, and ij - (i + j) = i + (i * j) - i is a
+    conjugate of i * j = lambda_i(j) - j, where i * (b + c) = i * b + b +
+    i * c - b (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).  So the
+    generators taken span the same ideal as those over all of J.
+
+    They start one additive closure.  Each member's images under lambda_b
+    for b among mul.generators(), and under the additive conjugation b + s -
+    b and the star s * b for b among add.generators(), are taken once, when
+    the member is reached, and an image not yet reached becomes an additive
+    generator.  The members are then a left ideal and normal, by the rules
+    of braces._classify, and closed under s * b for every b, since for each
+    s the b that pass are closed under +.  So they are the least ideal
+    holding the generators.
     """
     at, ai = B.add.table, B.add.inverse
     mt, mi = B.mul.table, B.mul.inverse
     lam = B.lam
+    add_gens, mul_gens = B.add.generators(), B.mul.generators()
+    if len(J) == B.order:
+        add_js, mul_js = add_gens, mul_gens
+    else:
+        add_js, mul_js = closure_with_generators(at, J)[1], closure_with_generators(mt, J)[1]
     members, seen, gens = [0], [True] + [False] * (B.order - 1), []
     for i in I:
         neg_i, inv_i, ri = ai[i], mi[i], mt[i]
-        for j in J:
-            for y in (at[at[at[neg_i][ai[j]]][i]][j],
-                      mt[mt[mt[inv_i][mi[j]]][i]][j],
-                      at[ri[j]][ai[at[i][j]]]):
+        for j in add_js:
+            for y in (at[at[at[neg_i][ai[j]]][i]][j], at[ri[j]][ai[at[i][j]]]):
                 if not seen[y]:
                     grow_closure(at, members, seen, gens, y)
-    pairs = tuple(zip(at, ai))  # (row of b, -b) for every b
+        for j in mul_js:
+            y = mt[mt[mt[inv_i][mi[j]]][i]][j]
+            if not seen[y]:
+                grow_closure(at, members, seen, gens, y)
+    lams = [lam[b] for b in mul_gens]
+    conjugators = [(b, at[b], ai[b]) for b in add_gens]
     k = 0
     while k < len(members):
         s = members[k]
         ls = lam[s]
-        for b, (rb, nb) in enumerate(pairs):
-            for y in (lam[b][s], at[rb[s]][nb], at[ls[b]][nb]):
+        for lb in lams:
+            y = lb[s]
+            if not seen[y]:
+                grow_closure(at, members, seen, gens, y)
+        for b, rb, nb in conjugators:
+            for y in (at[rb[s]][nb], at[ls[b]][nb]):
                 if not seen[y]:
                     grow_closure(at, members, seen, gens, y)
         k += 1
@@ -232,7 +277,13 @@ def chief_series(B: SkewBrace) -> SeriesWitness:
 
 
 def maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
-    """Maximal elements of the proper-subbrace poset."""
+    """Maximal elements of the proper-subbrace poset; filtered once per B."""
+    check_bound("group order", B.order, enumeration_bound())
+    return list(_maximal_subbraces(B))
+
+
+@memoised
+def _maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
     carrier = B.carrier()
     proper = [S for S in subbraces(B) if S != carrier]
     return [S for S in proper if not any(S < T for T in proper)]

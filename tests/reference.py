@@ -249,6 +249,41 @@ def reference_classify(B: SkewBrace, key: frozenset) -> SubsetFlags:
     return SubsetFlags(subbrace, left_ideal, ideal)
 
 
+def reference_center(G: FiniteGroup) -> frozenset:
+    """The centre by a scan of every pair of elements."""
+    return frozenset(a for a in G.elements()
+                     if all(G.table[a][b] == G.table[b][a] for b in G.elements()))
+
+
+def reference_is_abelian(G: FiniteGroup) -> bool:
+    """Commutativity by a scan of every pair of elements."""
+    return all(G.table[a][b] == G.table[b][a] for a in G.elements() for b in G.elements())
+
+
+def reference_fix_set(B: SkewBrace) -> frozenset:
+    """The common fixed points of lambda_b for every element b."""
+    return frozenset(a for a in B.elements() if all(B.lam[b][a] == a for b in B.elements()))
+
+
+def reference_brace_rho(B: SkewBrace):
+    """rho of the brace solution by definition: rho[b][a] = (lambda_a(b)^-1 a) b, one product at a time."""
+    return tuple(tuple(B.times(B.times(B.tinv(B.lam[a][b]), a), b) for a in B.elements())
+                 for b in B.elements())
+
+
+def reference_blocks_swap(solution, blocks):
+    """(ok, witness) of the block-swap check by definition: r(x, y) for every x in Xi
+    and y in Xj, block pair by block pair, the first failing (Xi, Xj, x, y) named."""
+    for bi in blocks:
+        for bj in blocks:
+            for x in bi:
+                for y in bj:
+                    u, v = solution.r(x, y)
+                    if u not in bj or v not in bi:
+                        return False, (sorted(bi), sorted(bj), x, y)
+    return True, None
+
+
 def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:
     """B modulo an ideal, with a frozenset per coset and a min per element."""
     coset_of = {}

@@ -33,6 +33,7 @@ from braceforge.structure import all_ideals
 from reference import (
     is_automorphism,
     reference_classify,
+    reference_fix_set,
     reference_quotient,
     reference_unpaired_isomorphisms,
 )
@@ -215,8 +216,17 @@ def derived_braces(B):
 
 
 def row_classify(B, S):
-    """The whole-row kernel itself, bypassing the memo."""
+    """The generator kernel itself, bypassing the memo."""
     return braces._classify.__wrapped__(B, frozenset(S))
+
+
+def seeded_subsets(n, rng, count=4):
+    """Every singleton of 0..n-1, and count seeded random subsets with 0 and count without."""
+    out = [frozenset({x}) for x in range(n)]
+    for _ in range(count):
+        S = frozenset(x for x in range(1, n) if rng.random() < 0.5)
+        out += [S | {0}, S] if S else [S | {0}]
+    return out
 
 
 class TestClassifyAgainstReference:
@@ -242,6 +252,35 @@ class TestClassifyAgainstReference:
             for D in derived_braces(B):
                 for S in subgroups(D.add):
                     assert row_classify(D, S) == reference_classify(D, S), (B, D, sorted(S))
+
+    def test_seeded_subsets_up_to_order_15(self):
+        # non-subgroups with 0, sets without 0 and singletons, on every census
+        # brace, its quotients and its subbraces
+        rng = random.Random(1)
+        kinds = set()
+        for B in census(15):
+            for D in [B] + derived_braces(B):
+                for S in seeded_subsets(D.order, rng):
+                    flags = row_classify(D, S)
+                    assert flags == reference_classify(D, S), (B, D, sorted(S))
+                    kinds.add((0 in S, len(S), flags))
+        assert (True, 3, SubsetFlags(False, False, False)) in kinds
+        assert (False, 3, SubsetFlags(False, False, False)) in kinds
+
+    def test_normal_left_ideal_that_is_no_ideal(self):
+        # {0, 3} in the first census brace of order 6 is a left ideal, normal in
+        # (B, +), and only the star condition a * b in S rejects it
+        B = enumerate_braces(6)[0].brace
+        S = frozenset({0, 3})
+        assert all(B.plus(B.plus(b, s), B.neg(b)) in S for b in B.elements() for s in S)
+        assert any(star(B, a, b) not in S for a in S for b in B.elements())
+        assert row_classify(B, S) == SubsetFlags(True, True, False) == reference_classify(B, S)
+
+
+def test_fix_set_matches_the_scan_up_to_order_15():
+    for B in census(15):
+        for D in [B] + derived_braces(B):
+            assert fix_set(D) == reference_fix_set(D), (B, D)
 
 
 class TestDerivedBracesByConstruction:

@@ -22,6 +22,7 @@ from braceforge.catalog import (
     groups_of_order,
     symmetric_group,
 )
+from braceforge.construct import enumerate_braces
 from braceforge.errors import (
     BoundExceeded,
     GroupValidationError,
@@ -55,6 +56,8 @@ from reference import (
     is_automorphism,
     reference_hom_from_generator_images,
     reference_isomorphisms,
+    reference_center,
+    reference_is_abelian,
     reference_normal_closure,
     reference_regular_subgroups,
     reference_unpaired_isomorphisms,
@@ -720,3 +723,19 @@ def test_no_per_call_bound_parameters():
             names += [f"{info.name}.{name}({p})" for p in ("bound", "assoc_bound", "identify")
                       if p in params]
     assert names == []
+
+
+def test_center_and_is_abelian_match_the_pair_scans():
+    # both groups of every census brace up to order 15, the catalog, four
+    # groups of order 16 and A5, each fresh so nothing is memoised yet
+    tables = [G.table for n in range(1, 16) for e in enumerate_braces(n)
+              for G in (e.brace.add, e.brace.mul)]
+    tables += [entry.group.table for n in range(1, 16) for entry in groups_of_order(n)]
+    tables += [G.table for G in ORDER_16 + [alternating_5(), symmetric_group(4)]]
+    kinds = set()
+    for table in tables:
+        G = validate_group(table)
+        assert G.center() == reference_center(G)
+        assert G.is_abelian == reference_is_abelian(G)
+        kinds.add((G.is_abelian, len(G.center()) > 1))
+    assert kinds >= {(True, True), (False, True), (False, False)}

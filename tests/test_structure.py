@@ -131,16 +131,28 @@ def fixpoint_commutator(B, I, J):
         current = grown
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 16))
 def test_commutator_matches_the_round_fixpoint(n):
+    # every ideal pair of every quotient of the census braces of order n,
+    # the quotient by 0, the brace itself, included
     for k, entry in enumerate(enumerate_braces(n)):
-        B = entry.brace
-        ideals = all_ideals(B)
-        for I in ideals:
+        B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+        for I in all_ideals(B):
+            Q = quotient(B, I).brace
+            ideals = all_ideals(Q)
             for J in ideals:
-                got = commutator(B, I, J)
-                assert got == fixpoint_commutator(B, I, J), (k, sorted(I), sorted(J))
-                assert classify_subset(B, got).ideal
+                for K in ideals:
+                    got = commutator(Q, J, K)
+                    assert got == fixpoint_commutator(Q, J, K), (k, sorted(I), sorted(J), sorted(K))
+                    assert classify_subset(Q, got).ideal
+
+
+def test_derived_ideal_needs_the_star_generators():
+    # both groups of the first census brace of order 4 are abelian, so its
+    # group commutators are all 0; ij - (i + j) alone makes [B, B] = {0, 2}
+    B = enumerate_braces(4)[0].brace
+    assert B.add.is_abelian and B.mul.is_abelian
+    assert derived_ideal(B) == {0, 2} == fixpoint_commutator(B, B.carrier(), B.carrier())
 
 
 @pytest.mark.parametrize("n", [4, 6, 8, 12])

@@ -46,7 +46,12 @@ from braceforge.ybe import (
     validate_solution,
     verify_multidecomposition,
 )
-from reference import reference_coset_partition, reference_r_closed_subsets
+from reference import (
+    reference_blocks_swap,
+    reference_brace_rho,
+    reference_coset_partition,
+    reference_r_closed_subsets,
+)
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
@@ -150,6 +155,48 @@ class TestSolutionFromBrace:
             for entry in enumerate_braces(n):
                 s = solution_from_brace(entry.brace)
                 assert validate_solution(s.lambda_tab, s.rho_tab) == s
+
+
+def seeded_blocks(points, rng):
+    """The points shuffled and cut at seeded places into blocks, in the order cut."""
+    points = list(points)
+    rng.shuffle(points)
+    blocks, start = [], 0
+    while start < len(points):
+        end = rng.randint(start + 1, len(points))
+        blocks.append(frozenset(points[start:end]))
+        start = end
+    return blocks
+
+
+class TestBraceSolutionByRows:
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_rho_matches_the_definition_on_census(self, n):
+        for entry in enumerate_braces(n):
+            B = entry.brace
+            s = ybe.solution_from_brace.__wrapped__(B)
+            assert s.lambda_tab == B.lam and s.rho_tab == reference_brace_rho(B)
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_block_swaps_match_the_scan_on_census(self, n):
+        # coset partitions of every ideal, and seeded partitions of the carrier
+        # and of seeded subsets of it; rejections name the scan's witness
+        rng = random.Random(n)
+        verdicts, flips = set(), True
+        for entry in enumerate_braces(n):
+            B = entry.brace
+            s = solution_from_brace(B)
+            flips &= s.is_flip
+            cases = [coset_partition(B, I).blocks for I in all_ideals(B)]
+            for _ in range(6):
+                cases.append(seeded_blocks(range(n), rng))
+                cases.append(seeded_blocks(rng.sample(range(n), rng.randint(1, n)), rng))
+            for blocks in cases:
+                got = ybe._blocks_swap_ok(s, blocks)
+                assert got == reference_blocks_swap(s, blocks), sorted(map(sorted, blocks))
+                verdicts.add(got[0])
+        # the flip swaps any blocks
+        assert verdicts == ({True} if flips else {True, False})
 
 
 class TestPartitionDecomposable:
