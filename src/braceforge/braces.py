@@ -40,6 +40,10 @@ class SubsetFlags(NamedTuple):
     ideal: bool
 
 
+_NO_FLAGS = SubsetFlags(False, False, False)
+_ALL_FLAGS = SubsetFlags(True, True, True)
+
+
 class SkewBrace:
     """Immutable skew left brace on the carrier 0..order-1."""
 
@@ -275,9 +279,10 @@ def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
     an ideal is an additive subgroup S with lambda_b(S) <= S for every b,
     normal in (B, +), with a * b = lambda_a(b) - b in S for a in S and every
     b.  S holding 0 is an additive subgroup exactly when the closure that
-    closure_with_generators grows from its members has |S| elements; call the
-    generators that closure took gens_S.  Every map tried below is additive,
-    so it sends S into S exactly when it sends gens_S into S.
+    closure_with_generators grows from its members stays within S, and the
+    growth stops at the first sum outside S; call the generators that
+    closure took gens_S.  Every map tried below is additive, so it sends S
+    into S exactly when it sends gens_S into S.
 
     - Left ideal: lambda_b(s) in S for b among mul.generators() and s in
       gens_S.  The b with lambda_b(S) <= S form a multiplicative subgroup,
@@ -297,13 +302,14 @@ def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
         if not isinstance(a, int) or not 0 <= a < n:
             raise ValueError(f"subset member {a!r} is not an element 0..{n - 1} of the brace")
     if 0 not in key:
-        return SubsetFlags(False, False, False)
+        return _NO_FLAGS
     if len(key) == 1:
-        return SubsetFlags(True, True, True)
+        return _ALL_FLAGS
     at, ai, lam = B.add.table, B.add.inverse, B.lam
-    members, gens = closure_with_generators(at, key)
-    if len(members) != len(key):
-        return SubsetFlags(False, False, False)
+    grown = closure_with_generators(at, key, within=key)
+    if grown is None:
+        return _NO_FLAGS
+    gens = grown[1]
     if not all(lam[b][s] in key for b in B.mul.generators() for s in gens):
         return SubsetFlags(all(lam[a][s] in key for a in key for s in gens), False, False)
     add_gens = B.add.generators()

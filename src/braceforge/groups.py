@@ -11,7 +11,7 @@ import functools
 import operator
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import (
     BoundExceeded,
@@ -200,7 +200,7 @@ class FiniteGroup:
 
 
 def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[bool],
-                 gens: list[int], g: int) -> None:
+                 gens: list[int], g: int, within: Container[int] | None = None) -> bool:
     """Make g, not yet a member, the next generator of a closure grown in place.
 
     `members` lists the elements reached, from [0], `seen[x]` marks them, and
@@ -209,7 +209,9 @@ def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[
     multiplies each generator, so the whole growth costs O(|K| |gens|)
     products.  In a finite group the members form the subgroup the
     generators generate; in any table with identity at 0 they are every
-    product of the generators.
+    product of the generators.  Given `within`, the growth stops at the
+    first new member outside it and returns False, the closure left part
+    grown; otherwise it returns True.
     """
     gens.append(g)
     old = len(members)  # these have met every earlier generator already
@@ -219,26 +221,30 @@ def grow_closure(table: Sequence[Sequence[int]], members: list[int], seen: list[
         for s in (g,) if i < old else gens:
             z = row[s]
             if not seen[z]:
+                if within is not None and z not in within:
+                    return False
                 seen[z] = True
                 members.append(z)
         i += 1
+    return True
 
 
-def closure_with_generators(table: Sequence[Sequence[int]],
-                            seed: Iterable[int]) -> tuple[list[int], list[int]]:
+def closure_with_generators(table: Sequence[Sequence[int]], seed: Iterable[int],
+                            within: Container[int] | None = None) -> tuple[list[int], list[int]] | None:
     """The closure of seed in table and the generators it was grown from.
 
     The closure is grown by grow_closure from [0], walking seed in increasing
     order: each element of seed that the closure does not yet hold becomes
     the next generator.  So every element of seed is a product of the
     generators, and in a group no generator lies in the subgroup the earlier
-    ones generate.  A seed that holds 0 is a subgroup of a group exactly
-    when the closure has no more members than the seed.
+    ones generate.  Given `within`, None is returned as soon as a product
+    falls outside it: so a seed holding 0 is a subgroup of a group exactly
+    when within=seed returns a closure, which is then the seed.
     """
     members, seen, gens = [0], [True] + [False] * (len(table) - 1), []
     for g in sorted(seed):
-        if not seen[g]:
-            grow_closure(table, members, seen, gens, g)
+        if not seen[g] and not grow_closure(table, members, seen, gens, g, within):
+            return None
     return members, gens
 
 

@@ -284,45 +284,15 @@ def singletons_partition(ground: Iterable[int]) -> Partition:
 
 
 def _blocks_swap_ok(solution: Solution, blocks: Sequence[frozenset[int]]) -> tuple[bool, tuple | None]:
-    """r(Xi x Xj) lands in Xj x Xi for every ordered block pair, decided by rows.
-
-    Each point is labelled with its block, or -1 outside the blocks, and U
-    is their union.  r(x, y) = (lambda_x(y), rho_y(x)) for x in Xi and y in
-    Xj lands in Xj x Xi exactly when lambda_x(y) has y's label and rho_y(x)
-    has x's.  So the blocks swap exactly when every lambda_x row and every
-    rho_y row, for x and y in U, gathered at U and read through the labels,
-    equals U's labels: 2 |U| rows, each gathered and read by one
-    `operator.itemgetter` call apiece.  A single point is the one pair (x, x), which the scan over block pairs
-    decides; a rejection runs that scan too, which names the first failing
-    (blocks, x, y).
-    """
-    union = [x for block in blocks for x in block]
-    if len(union) > 1:
-        labels = [-1] * solution.size
-        for k, block in enumerate(blocks):
-            for x in block:
-                labels[x] = k
-        pick = operator.itemgetter(*union)
-        want = pick(labels)
-        if all(operator.itemgetter(*pick(tab[x]))(labels) == want
-               for tab in (solution.lambda_tab, solution.rho_tab) for x in union):
-            return True, None
-    failure = _blocks_swap_scan(solution, blocks)
-    if failure is None and len(union) > 1:
-        raise InternalInvariant("the blocks failed to swap by rows but the scan found no witness")
-    return failure is None, failure
-
-
-def _blocks_swap_scan(solution: Solution, blocks: Sequence[frozenset[int]]) -> tuple | None:
-    """(Xi, Xj, x, y) for the first pair r does not swap, block pair by block pair, or None."""
+    """r(Xi x Xj) lands in Xj x Xi for every ordered block pair."""
     for bi in blocks:
         for bj in blocks:
             for x in bi:
                 for y in bj:
                     u, v = solution.r(x, y)
                     if u not in bj or v not in bi:
-                        return sorted(bi), sorted(bj), x, y
-    return None
+                        return False, (sorted(bi), sorted(bj), x, y)
+    return True, None
 
 
 def is_partition_decomposable(solution: Solution, partition: Partition) -> tuple[bool, tuple | None]:

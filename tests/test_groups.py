@@ -499,6 +499,23 @@ def test_closure_matches_the_pairwise_closure(n):
             assert G.closure(seed) == pairwise_closure(G, seed), (entry.name, seed)
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_closure_within_a_set_stops_outside_it(n):
+    # None exactly when the closure leaves the set; otherwise the closure
+    # and generators of the unbounded growth
+    rng = random.Random(n)
+    for entry in groups_of_order(n):
+        G = entry.group
+        for size in (1, 2, 2, 3, 3, n):
+            seed = rng.sample(range(n), min(size, n))
+            for within in (frozenset(seed) | {0}, G.closure(seed), frozenset(range(n))):
+                got = groups.closure_with_generators(G.table, seed, within=within)
+                if G.closure(seed) <= within:
+                    assert got == groups.closure_with_generators(G.table, seed), (entry.name, seed)
+                else:
+                    assert got is None, (entry.name, seed, within)
+
+
 def greedy_generators(G):
     """Reference for generating_set: re-close the subgroup after each new generator."""
     gens = []
