@@ -34,7 +34,6 @@ from .groups import (
     RegularSubgroup,
     automorphism_group,
     group_isomorphism,
-    inner_automorphisms,
     regular_subgroups,
     subgroups,
     validate_group,

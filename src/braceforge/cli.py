@@ -7,7 +7,9 @@ square lists of lists and verify --max-order below 1), 5 theorem violation
 (the counterexample follows on stderr as JSON, with the brace it failed on
 when there is one), 6 not soluble, 7 an output file could not be written,
 1 internal error.  BRACEFORGE_BOUND is the only size setting; see
-groups.enumeration_bound.  All output is deterministic.
+groups.enumeration_bound.  All output is deterministic.  On a solution
+document, decompose reports the <lambda_x, rho_y>-orbit partition, found in
+O(m^2) time on m points.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .errors import (
     SeriesInvalid,
     TheoremViolation,
 )
-from .groups import _prime_power, check_bound, enumeration_bound
+from .groups import _prime_power, enumeration_bound
 from .structure import (
     all_ideals,
     annihilator_quotient_test,
@@ -57,10 +59,10 @@ from .structure import (
 )
 from .ybe import (
     embedded_multidecomposition,
-    find_decomposition,
     ideal_coset_decomposition,
     is_partition_decomposable,
     multidecomposition_from_series,
+    orbit_partition,
     r_closed_subsets,
     singletons_partition,
     solution_from_brace,
@@ -77,7 +79,6 @@ EXIT_NOT_SOLUBLE = 6
 EXIT_IO = 7
 
 VERIFY_SCOPES = ("A", "B", "C", "D", "lemma-GIntG", "prop-central-commut")
-FIND_DECOMPOSITION_MAX = 5
 
 
 def _emit(report: dict, out: str | None) -> None:
@@ -165,10 +166,10 @@ def cmd_decompose(args) -> int:
                    "decomposable": ok,
                    "failure": list(witness) if witness else None}, args.out)
             return EXIT_OK
-        check_bound("exhaustive decomposition search size", solution.size, FIND_DECOMPOSITION_MAX)
-        found = find_decomposition(solution)
-        _emit({"input": "solution", "decomposable": found is not None,
-               "partition": found.to_json() if found else None}, args.out)
+        orbits = orbit_partition(solution)
+        decomposable = len(orbits.blocks) >= 2
+        _emit({"input": "solution", "decomposable": decomposable,
+               "partition": orbits.to_json() if decomposable else None}, args.out)
         return EXIT_OK
     if args.partition is not None:
         raise InvalidDocument("--partition applies to solution documents only")

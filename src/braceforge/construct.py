@@ -170,7 +170,7 @@ def _orbit_representatives(G: FiniteGroup, raw: list[RegularSubgroup]
     the orbits meet sum to the raw count.  When P is all of Aut(G) these are
     the checks of a walk over the whole holomorph.
     """
-    pool = pair_pool(G, "holomorph")
+    pool = pair_pool(G)
     perms, comp, inv = pool.perms, pool.comp, pool.inv
     sylow = _sylow_indices(G)
     # Aut(G) less P, built only when P is proper
@@ -298,8 +298,7 @@ def simple_inner_regular_subgroups(G: FiniteGroup) -> list[RegularSubgroup]:
     _group_unchecked, the pairs are closed under right products by the
     table's generators, which makes them a subgroup, and group_isomorphism
     finds an isomorphism onto G.  The pool is the sorted list of inner
-    automorphisms that regular_subgroups(G, "inner") indexes, and the
-    subgroups come in the order of their assignments, as there.
+    automorphisms, and the subgroups come in the order of their assignments.
     """
     assert_simple_nonabelian(G)
     # Z(G) = 1, so |Inn(G)| = |G|: the ambient's order is checked before any work

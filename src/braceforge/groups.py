@@ -576,12 +576,6 @@ def _automorphisms(G: FiniteGroup) -> list[Perm]:
     return sorted(members)
 
 
-def inner_automorphisms(G: FiniteGroup) -> list[Perm]:
-    """Conjugation maps {x -> g x g^-1}, deduplicated and sorted."""
-    perms = {tuple(G.conjugate(g, x) for x in G.elements()) for g in G.elements()}
-    return sorted(perms)
-
-
 class PermTable:
     """A list of permutations closed under composition, with index arithmetic.
 
@@ -637,28 +631,20 @@ class PermTable:
         return len(self.perms)
 
 
-def _ambient_perms(G: FiniteGroup, ambient: str) -> list[Perm]:
-    if ambient == "holomorph":
-        return automorphism_group(G)
-    if ambient == "inner":
-        return inner_automorphisms(G)
-    raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'inner'")
+def pair_pool(G: FiniteGroup) -> PermTable:
+    """Aut(G), the automorphism component of the holomorph, built once per G.
 
-
-def pair_pool(G: FiniteGroup, ambient: str) -> PermTable:
-    """The automorphism component of the ambient sub-holomorph, built once per G.
-
-    The bound is checked on G.order * |perms| before the k x k composition
+    The bound is checked on G.order * |Aut(G)| before the k x k composition
     table is built or looked up, so an oversized ambient fails at once.
     """
-    perms = _ambient_perms(G, ambient)
-    check_bound("ambient sub-holomorph order", G.order * len(perms), holomorph_bound())
-    return _perm_table(G, ambient)
+    check_bound("ambient sub-holomorph order", G.order * len(automorphism_group(G)),
+                holomorph_bound())
+    return _perm_table(G)
 
 
 @memoised
-def _perm_table(G: FiniteGroup, ambient: str) -> PermTable:
-    return PermTable(_ambient_perms(G, ambient))
+def _perm_table(G: FiniteGroup) -> PermTable:
+    return PermTable(automorphism_group(G))
 
 
 def _prime_power(n: int) -> int | None:
@@ -674,7 +660,7 @@ def _prime_power(n: int) -> int | None:
 
 def sylow_indices(G: FiniteGroup) -> tuple[int, ...]:
     """A Sylow p-subgroup P of Aut(G) when |G| = p^m, as sorted indices into
-    pair_pool(G, "holomorph"); every index when |G| is no prime power.
+    pair_pool(G); every index when |G| is no prime power.
 
     A regular subgroup H of Hol(G) has order p^m, and its image in Aut(G) is
     a quotient of H, so a p-group; by Sylow's theorem it lies in a conjugate
@@ -682,7 +668,7 @@ def sylow_indices(G: FiniteGroup) -> tuple[int, ...]:
     Aut(G)-orbit of regular subgroups meets G x| P.  The bound is checked as
     pair_pool checks it, before the memoised lookup.
     """
-    pair_pool(G, "holomorph")
+    pair_pool(G)
     return _sylow_indices(G)
 
 
@@ -696,7 +682,7 @@ def _sylow_indices(G: FiniteGroup) -> tuple[int, ...]:
     p-group; when x was tried, P was then a subgroup of its final value, so
     <P, x> was a p-group too and x was taken.
     """
-    pool = _perm_table(G, "holomorph")
+    pool = _perm_table(G)
     k = len(pool)
     p = _prime_power(G.order)
     part = 1
@@ -747,13 +733,13 @@ class RegularSubgroup:
 def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[RegularSubgroup]:
     """Every regular subgroup of the chosen ambient, canonically ordered.
 
-    The ambient is G x| Aut(G) ("holomorph"), G x| Inn(G) ("inner"), or
-    G x| P ("sylow") for the Sylow subgroup P of sylow_indices, which is the
-    whole holomorph unless |G| is a prime power and |Aut(G)| is not.  The
-    "sylow" search indexes pair_pool(G, "holomorph") and tries only phi in
-    P; a product of pairs whose phi lie in P has its phi in P, so it finds
-    exactly the regular subgroups of G x| P, with the assignments the
-    holomorph search gives them.
+    The ambient is G x| Aut(G) ("holomorph") or G x| P ("sylow") for the
+    Sylow subgroup P of sylow_indices, which is the whole holomorph unless
+    |G| is a prime power and |Aut(G)| is not.  Both searches index
+    pair_pool(G), and the "sylow" search tries only phi in P; a product of
+    pairs whose phi lie in P has its phi in P, so it finds exactly the
+    regular subgroups of G x| P, with the assignments the holomorph search
+    gives them.
 
     Backtracking over the map g -> phi_g.  A node is a subgroup K of the
     ambient that is injective on first coordinates: `assign` holds phi at
@@ -773,7 +759,9 @@ def regular_subgroups(G: FiniteGroup, ambient: str = "holomorph") -> list[Regula
     (m, phi_m)^-1 (t, phi_t) has first coordinate g when t = m . phi_m(g); so
     when they are distinct the first step assigns them with no conflict check.
     """
-    pool = pair_pool(G, "holomorph" if ambient == "sylow" else ambient)
+    if ambient not in ("holomorph", "sylow"):
+        raise ValueError(f"unknown ambient {ambient!r}; use 'holomorph' or 'sylow'")
+    pool = pair_pool(G)
     allowed = _sylow_indices(G) if ambient == "sylow" else range(len(pool))
     n = G.order
     comp = pool.comp

@@ -27,6 +27,9 @@ rho_y(x), so it is checked once per point.  Each composition of two distinct
 rows is built once: a brace solution has one lambda row per element of
 lambda(B), and its sigma rows repeat in the same way.
 
+A solution is decomposable exactly when <lambda_x, rho_y> has at least two
+orbits; `orbit_partition` finds them in O(m^2) time.
+
 Decomposition witnesses are nested chains of subsets with coset
 partitions.  The block swaps of a series' cosets are checked once
 per (brace, series) on the whole carrier; every r-closed subset inherits
@@ -401,31 +404,32 @@ def r_closed_subsets(solution: Solution) -> list[frozenset[int]]:
     return out
 
 
-def find_decomposition(solution: Solution) -> Partition | None:
-    """Exhaustive search for a decomposing partition with >= 2 blocks.
+def orbit_partition(solution: Solution) -> Partition:
+    """The orbits of <lambda_x, rho_y>, by one union-find pass over both tables.
 
-    Super-exponential in the ground size; callers keep it to <= 5 points.
+    r(Xi x Xj) lies in Xj x Xi for all blocks exactly when every lambda_x and
+    rho_y maps each block into itself, so the decompositions are exactly the
+    coarsenings of this partition (Etingof-Schedler-Soloviev, Duke Math. J.
+    100, 1999): the solution decomposes when it has at least two orbits.
     """
-    points = sorted(solution.ground())
+    parent = list(range(solution.size))
 
-    def set_partitions(items):
-        if not items:
-            yield []
-            return
-        head, rest = items[0], items[1:]
-        for tail in set_partitions(rest):
-            for i in range(len(tail)):
-                yield tail[:i] + [[head] + tail[i]] + tail[i + 1:]
-            yield [[head]] + tail
+    def root(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    for raw in set_partitions(points):
-        if len(raw) < 2:
-            continue
-        partition = make_partition(raw)
-        ok, _ = is_partition_decomposable(solution, partition)
-        if ok:
-            return partition
-    return None
+    # row x of lambda is y -> lambda_x(y), row y of rho is x -> rho_y(x)
+    for row in itertools.chain(solution.lambda_tab, solution.rho_tab):
+        for x, y in enumerate(row):
+            a, b = root(x), root(y)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    orbits: dict[int, list[int]] = {}
+    for x in range(solution.size):
+        orbits.setdefault(root(x), []).append(x)
+    return make_partition(orbits.values())
 
 
 def coset_partition(B: SkewBrace, I: Iterable[int], within: Iterable[int] | None = None) -> Partition:

@@ -11,7 +11,7 @@ from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_b
 from braceforge.catalog import cyclic, dicyclic, dihedral, direct_product_group
 from braceforge.groups import (
     FiniteGroup,
-    _ambient_perms,
+    RegularSubgroup,
     _group_unchecked,
     _hom_from_generator_images,
     _irredundant,
@@ -19,7 +19,6 @@ from braceforge.groups import (
     group_isomorphism,
     grow_closure,
     pair_pool,
-    regular_subgroups,
     validate_group,
 )
 from braceforge.ybe import make_partition
@@ -128,9 +127,16 @@ def reference_normal_closure(G: FiniteGroup, seed):
     return frozenset(members)
 
 
+def inner_automorphisms(G: FiniteGroup):
+    """Conjugation maps {x -> g x g^-1}, deduplicated and sorted."""
+    return sorted({tuple(G.conjugate(g, x) for x in G.elements()) for g in G.elements()})
+
+
 def reference_simple_inner_regular_subgroups(G: FiniteGroup):
     """The exhaustive search of G's inner sub-holomorph, filtered to the subgroups isomorphic to G."""
-    return [H for H in regular_subgroups(G, "inner")
+    pool = tuple(inner_automorphisms(G))
+    found = (RegularSubgroup(G, pool, a) for a in reference_regular_subgroups(G, pool))
+    return [H for H in found
             if group_isomorphism(_group_unchecked(H.multiplication_table()), G) is not None]
 
 
@@ -140,7 +146,7 @@ def holomorph(G: FiniteGroup) -> FiniteGroup:
     Pairs (g, phi) are indexed as g*|Aut| + i with (0, id) at index 0 and the
     product (g, phi)(h, psi) = (g phi(h), phi psi).
     """
-    pool = pair_pool(G, "holomorph")
+    pool = pair_pool(G)
     k = len(pool)
     n = G.order
     table = []
@@ -168,15 +174,16 @@ def brute_comp(perms):
     return [tuple(index[compose(p, q)] for q in perms) for p in perms]
 
 
-def reference_regular_subgroups(G: FiniteGroup, ambient: str = "holomorph"):
-    """Sorted assignments of the regular subgroups, by full-closure propagation.
+def reference_regular_subgroups(G: FiniteGroup, perms):
+    """Sorted assignments of the regular subgroups of G x| perms, by full-closure
+    propagation; perms is a group of automorphisms, and assignments index it sorted.
 
     Backtracking over the map g -> phi_g: each new pair is multiplied on both
     sides by every assigned pair, O(|K| n) per step, until the assigned
     pairs are closed.  Partial closures must stay injective on first
     coordinates and have size dividing |G|.
     """
-    perms = sorted(_ambient_perms(G, ambient))
+    perms = sorted(perms)
     comp = brute_comp(perms)
     n = G.order
     table = G.table
@@ -282,6 +289,26 @@ def reference_blocks_swap(solution, blocks):
                     if u not in bj or v not in bi:
                         return False, (sorted(bi), sorted(bj), x, y)
     return True, None
+
+
+def set_partitions(items):
+    """Every partition of the list items, as lists of blocks."""
+    if not items:
+        yield []
+        return
+    head, rest = items[0], items[1:]
+    for tail in set_partitions(rest):
+        for i in range(len(tail)):
+            yield tail[:i] + [[head] + tail[i]] + tail[i + 1:]
+        yield [[head]] + tail
+
+
+def reference_decompositions(solution):
+    """Every partition with at least two blocks that block-swaps, by an exhaustive
+    walk over the set partitions of the points, each checked by definition."""
+    for raw in set_partitions(list(range(solution.size))):
+        if len(raw) >= 2 and reference_blocks_swap(solution, raw)[0]:
+            yield make_partition(raw)
 
 
 def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:

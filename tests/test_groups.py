@@ -39,7 +39,6 @@ from braceforge.groups import (
     compose,
     group_isomorphism,
     identity_perm,
-    inner_automorphisms,
     is_simple,
     pair_pool,
     regular_subgroups,
@@ -52,6 +51,7 @@ from reference import (
     ORDER_16,
     brute_comp,
     holomorph,
+    inner_automorphisms,
     invert,
     is_automorphism,
     reference_hom_from_generator_images,
@@ -344,6 +344,11 @@ class TestRegularSubgroups:
     def test_trivial_group(self):
         assert len(regular_subgroups(cyclic(1))) == 1
 
+    @pytest.mark.parametrize("ambient", ["inner", "Holomorph"])
+    def test_unknown_ambient_refused(self, ambient):
+        with pytest.raises(ValueError, match="use 'holomorph' or 'sylow'"):
+            regular_subgroups(cyclic(3), ambient)
+
     def test_first_coordinates_cover(self):
         for sub in regular_subgroups(symmetric_group(3)):
             assert len(sub.assignment) == 6
@@ -385,17 +390,12 @@ class TestRegularSubgroupsAgainstPropagation:
     @pytest.mark.parametrize("G", CATALOG, ids=lambda G: G.name)
     def test_catalog_holomorph(self, G):
         got = [H.assignment for H in regular_subgroups(G)]
-        assert got == reference_regular_subgroups(G)
-
-    def test_a5_inner(self):
-        got = [H.assignment for H in regular_subgroups(alternating_5(), "inner")]
-        assert got == reference_regular_subgroups(alternating_5(), "inner")
-        assert len(got) == 62
+        assert got == reference_regular_subgroups(G, automorphism_group(G))
 
     @pytest.mark.parametrize("G", ORDER_16, ids=["C4xC4", "C8xC2", "D4xC2", "Q8xC2"])
     def test_order_sixteen(self, G):
         got = [H.assignment for H in regular_subgroups(G)]
-        assert got == reference_regular_subgroups(G)
+        assert got == reference_regular_subgroups(G, automorphism_group(G))
 
 
 P_GROUPS = [G for G in CATALOG + ORDER_16 if groups._prime_power(G.order)]
@@ -411,7 +411,7 @@ class TestSylowAmbient:
 
     @pytest.mark.parametrize("G", P_GROUPS, ids=lambda G: G.name)
     def test_sylow_subgroup(self, G):
-        pool = pair_pool(G, "holomorph")
+        pool = pair_pool(G)
         P = sylow_indices(G)
         k = len(pool)
         part = p_part(groups._prime_power(G.order), k)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braceforge import cli, jsonio, structure, ybe
-from braceforge.braces import almost_trivial_brace, is_isomorphic, trivial_brace
+from braceforge.braces import almost_trivial_brace, direct_product, is_isomorphic, trivial_brace
 from braceforge.catalog import alternating_5, cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
@@ -364,6 +364,29 @@ class TestCliRejectionBytes:
         assert captured.out == ""
 
 
+# `decompose` on the flip on 3 points: its orbits are the singletons
+FLIP3_DECOMPOSE = """\
+{
+  "decomposable": true,
+  "input": "solution",
+  "partition": {
+    "blocks": [
+      [
+        0
+      ],
+      [
+        1
+      ],
+      [
+        2
+      ]
+    ],
+    "uniform": true
+  }
+}
+"""
+
+
 class TestCliDecompose:
     def test_soluble_brace(self, tmp_path):
         src = write(tmp_path, "z6.json",
@@ -395,10 +418,30 @@ class TestCliDecompose:
         found = json.loads(out.read_text())
         assert found["decomposable"] and found["partition"] is not None
 
-    def test_solution_search_bound(self, tmp_path):
-        src = write(tmp_path, "flip6.json",
-                    jsonio.solution_to_json(flip_solution(6)))
-        assert main(["decompose", src]) == 3
+    def test_solution_has_no_size_cap(self, tmp_path, capsys):
+        # the 30-point solution of CI's console-script step, the flip on 30 points
+        big = solution_from_brace(direct_product(enumerate_braces(2)[0].brace,
+                                                 enumerate_braces(15)[0].brace))
+        for solution in (flip_solution(6), big):
+            src = write(tmp_path, "solution.json", jsonio.solution_to_json(solution))
+            assert main(["decompose", src]) == 0
+            found = json.loads(capsys.readouterr().out)
+            assert found["decomposable"] is True
+            assert found["partition"]["blocks"] == [[x] for x in range(solution.size)]
+
+    def test_solution_flip_three_bytes(self, tmp_path, capsys):
+        src = write(tmp_path, "flip3.json", jsonio.solution_to_json(flip_solution(3)))
+        assert main(["decompose", src]) == 0
+        assert capsys.readouterr().out == FLIP3_DECOMPOSE
+
+    def test_irretractable_indecomposable_solution(self, tmp_path, capsys):
+        # one orbit on 3 points, and the three pairs (lambda_x, rho_x) differ
+        src = write(tmp_path, "one-orbit.json",
+                    {"lambda": [[0, 1, 2], [0, 1, 2], [0, 1, 2]],
+                     "rho": [[0, 2, 1], [2, 1, 0], [1, 0, 2]]})
+        assert main(["decompose", src]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            {"input": "solution", "decomposable": False, "partition": None}
 
     @pytest.mark.parametrize("mode", [[], ["--partition", "singletons"]])
     def test_solution_on_no_points_refused(self, tmp_path, capsys, mode):

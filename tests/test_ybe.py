@@ -1,5 +1,6 @@
 """Yang-Baxter solutions, decomposability, and multidecomposition witnesses."""
 
+import functools
 import itertools
 import random
 
@@ -34,12 +35,12 @@ from braceforge.ybe import (
     Solution,
     coset_partition,
     embedded_multidecomposition,
-    find_decomposition,
     flip_solution,
     ideal_coset_decomposition,
     is_partition_decomposable,
     make_partition,
     multidecomposition_from_series,
+    orbit_partition,
     r_closed_subsets,
     singletons_partition,
     solution_from_brace,
@@ -50,6 +51,7 @@ from reference import (
     reference_blocks_swap,
     reference_brace_rho,
     reference_coset_partition,
+    reference_decompositions,
     reference_r_closed_subsets,
 )
 
@@ -666,6 +668,56 @@ class TestRClosedSubsets:
         assert info.value.actual == ybe.R_CLOSED_MAX_SUBSETS + 1
 
 
+@functools.cache
+def solutions_up_to_three_points():
+    """All 71 solutions on 1-3 points: every pair of tables with bijective rows
+    that validate_solution accepts."""
+    out = []
+    for m in (1, 2, 3):
+        for s in maps_with_bijective_rows(m):
+            try:
+                out.append(validate_solution(s.lambda_tab, s.rho_tab))
+            except BraidFailed:
+                pass
+    return out
+
+
+ORBIT_FAMILIES = {
+    "up-to-3-points": solutions_up_to_three_points,
+    "census-up-to-5": lambda: [solution_from_brace(e.brace) for n in range(1, 6)
+                               for e in enumerate_braces(n)],
+    "flips-up-to-5": lambda: [flip_solution(m) for m in range(1, 6)],
+}
+
+
+class TestOrbitPartition:
+    """The orbit partition against the exhaustive walk over set partitions."""
+
+    def test_counts(self):
+        solutions = solutions_up_to_three_points()
+        assert [sum(s.size == m for s in solutions) for m in (1, 2, 3)] == [1, 4, 66]
+        assert sum(len(orbit_partition(s).blocks) >= 2 for s in solutions) == 47
+
+    @pytest.mark.parametrize("family", ORBIT_FAMILIES)
+    def test_matches_the_set_partition_walk(self, family):
+        for s in ORBIT_FAMILIES[family]():
+            orbits = orbit_partition(s)
+            assert is_partition_decomposable(s, orbits) == (True, None)
+            found = list(reference_decompositions(s))
+            assert (len(orbits.blocks) >= 2) == bool(found)
+            for partition in found:  # each block a union of orbits
+                assert all(any(o <= b for b in partition.blocks) for o in orbits.blocks)
+
+    def test_census_solutions_fix_zero(self):
+        # lambda_a(0) = 0 and rho_b(0) = 0 in every brace, so {0} is an orbit
+        for n in range(1, 16):
+            for e in enumerate_braces(n):
+                s = solution_from_brace(e.brace)
+                orbits = orbit_partition(s)
+                assert orbits.blocks[0] == {0}
+                assert is_partition_decomposable(s, orbits)[0]
+
+
 class TestExhaustiveCrossChecks:
     def test_r_closed_subsets_flip(self):
         # every non-empty subset is r-closed for the flip
@@ -679,7 +731,7 @@ class TestExhaustiveCrossChecks:
 
     def test_find_decomposition_matches_corollary(self):
         # braces of order <= 5 with a proper abelian-quotient ideal are
-        # decomposable, and the exhaustive search must agree
+        # decomposable, and the orbits and the exhaustive search must agree
         for n in range(2, 6):
             for entry in enumerate_braces(n):
                 B = entry.brace
@@ -691,7 +743,8 @@ class TestExhaustiveCrossChecks:
                     for I in all_ideals(B)
                     if I != B.carrier() and quotient(B, I).brace.is_abelian)
                 if witnessed:
-                    assert find_decomposition(s) is not None
+                    assert len(orbit_partition(s).blocks) >= 2
+                    assert next(reference_decompositions(s), None) is not None
 
     def test_non_soluble_input_not_required(self):
         # the A5 brace is not soluble; its derived series never terminates
