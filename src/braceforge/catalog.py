@@ -1,37 +1,45 @@
 """Built-in catalog of all groups of order <= 15 up to isomorphism, plus A5.
 
 Tables are produced from standard constructions (cyclic, dihedral, dicyclic,
-alternating, direct products) and run through the full validator, so a broken
-constructor cannot ship a bad table.
+symmetric, alternating, direct products) and run through the full validator,
+so a broken constructor cannot ship a bad table.  A permutation group's table
+is the composition table of groups.PermTable, the kernel that also builds the
+holomorph's automorphism component.  A direct product in the catalog takes
+its factors from the catalog's own groups of smaller order, so each catalog
+group is built and validated once.  Every constructor checks the order it is
+about to build against enumeration_bound() before it allocates anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
 from .errors import CatalogMissing
-from .groups import FiniteGroup, validate_group
+from .groups import FiniteGroup, PermTable, check_group_order, validate_group
 
 MAX_CATALOG_ORDER = 15
 
 
 def cyclic(n: int) -> FiniteGroup:
+    check_group_order(n)
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
     return validate_group(table, name=f"C{n}")
 
 
-def direct_product_group(G: FiniteGroup, H: FiniteGroup, name: str | None = None) -> FiniteGroup:
+def direct_product_group(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     n2 = H.order
     size = G.order * n2
+    check_group_order(size)
     table = [[0] * size for _ in range(size)]
     for a1, a2 in itertools.product(G.elements(), H.elements()):
         row = table[a1 * n2 + a2]
         for b1, b2 in itertools.product(G.elements(), H.elements()):
             row[b1 * n2 + b2] = G.table[a1][b1] * n2 + H.table[a2][b2]
-    return validate_group(table, name=name or f"{G.name}x{H.name}")
+    return validate_group(table, name=f"{G.name}x{H.name}")
 
 
 def dihedral(m: int) -> FiniteGroup:
@@ -42,6 +50,7 @@ def dihedral(m: int) -> FiniteGroup:
         return ((i - k) % m, 1 - l)
 
     size = 2 * m
+    check_group_order(size)
     table = [[0] * size for _ in range(size)]
     for i in range(m):
         for j in range(2):
@@ -62,6 +71,7 @@ def dicyclic(m: int) -> FiniteGroup:
         return ((i - k + m) % (2 * m), 0)
 
     size = 4 * m
+    check_group_order(size)
     table = [[0] * size for _ in range(size)]
     for i in range(2 * m):
         for j in range(2):
@@ -73,14 +83,13 @@ def dicyclic(m: int) -> FiniteGroup:
 
 
 def _permutation_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:
-    elems = sorted(perms)
-    index = {p: i for i, p in enumerate(elems)}
-    table = [[index[tuple(p[q[i]] for i in range(len(q)))] for q in elems] for p in elems]
-    return validate_group(table, name=name)
+    """Element i is the i-th of the sorted perms; i * j is the element p_i o p_j."""
+    return validate_group(PermTable(perms).comp, name=name)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
-    return _permutation_group([p for p in itertools.permutations(range(n))], f"S{n}")
+    check_group_order(math.factorial(n))
+    return _permutation_group(list(itertools.permutations(range(n))), f"S{n}")
 
 
 def _parity(p: tuple[int, ...]) -> int:
@@ -89,6 +98,7 @@ def _parity(p: tuple[int, ...]) -> int:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    check_group_order(math.factorial(n) // 2)
     perms = [p for p in itertools.permutations(range(n)) if _parity(p) == 0]
     return _permutation_group(perms, f"A{n}")
 
@@ -100,24 +110,27 @@ class CatalogGroup:
     group: FiniteGroup
 
 
+def _built(n: int, i: int) -> FiniteGroup:
+    """Catalog group i of order n, a direct-product factor: built once, then shared."""
+    return _catalog_of_order(n)[i].group
+
+
 # Built one order at a time on first use, so a small BRACEFORGE_BOUND limits
-# only the orders that are asked for.
+# only the orders that are asked for; a product's factors have smaller orders.
 _CONSTRUCTIONS: dict[int, Callable[[], list[FiniteGroup]]] = {
     1: lambda: [cyclic(1)],
     2: lambda: [cyclic(2)],
     3: lambda: [cyclic(3)],
-    4: lambda: [cyclic(4), direct_product_group(cyclic(2), cyclic(2))],
+    4: lambda: [cyclic(4), direct_product_group(_built(2, 0), _built(2, 0))],
     5: lambda: [cyclic(5)],
     6: lambda: [cyclic(6), symmetric_group(3)],
     7: lambda: [cyclic(7)],
-    8: lambda: [cyclic(8), direct_product_group(cyclic(4), cyclic(2)),
-                direct_product_group(direct_product_group(cyclic(2), cyclic(2)), cyclic(2),
-                                     name="C2xC2xC2"),
-                dihedral(4), dicyclic(2)],
-    9: lambda: [cyclic(9), direct_product_group(cyclic(3), cyclic(3))],
+    8: lambda: [cyclic(8), direct_product_group(_built(4, 0), _built(2, 0)),
+                direct_product_group(_built(4, 1), _built(2, 0)), dihedral(4), dicyclic(2)],
+    9: lambda: [cyclic(9), direct_product_group(_built(3, 0), _built(3, 0))],
     10: lambda: [cyclic(10), dihedral(5)],
     11: lambda: [cyclic(11)],
-    12: lambda: [cyclic(12), direct_product_group(cyclic(6), cyclic(2)),
+    12: lambda: [cyclic(12), direct_product_group(_built(6, 0), _built(2, 0)),
                  dihedral(6), alternating_group(4), dicyclic(3)],
     13: lambda: [cyclic(13)],
     14: lambda: [cyclic(14), dihedral(7)],

@@ -65,6 +65,11 @@ def check_bound(what: str, actual: int, limit: int) -> None:
         raise BoundExceeded(what, actual, limit)
 
 
+def check_group_order(n: int) -> None:
+    """Raise BoundExceeded when a group of order n is above enumeration_bound()."""
+    check_bound("group order (associativity scan)", n, enumeration_bound())
+
+
 _MISSING = object()
 
 
@@ -318,7 +323,7 @@ def validate_group(table: Sequence[Sequence[int]], *, name: str | None = None) -
     """
     _check_latin_with_identity(table)
     n = len(table)
-    check_bound("group order (associativity scan)", n, enumeration_bound())
+    check_group_order(n)
     rows = tuple(tuple(row) for row in table)
     G = FiniteGroup(rows, tuple([row.index(0) for row in rows]), name)
     if not _light_associative(rows, G.generators()):

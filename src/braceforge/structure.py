@@ -225,29 +225,6 @@ def chief_series_as_abelian(B: SkewBrace) -> SeriesWitness:
     return SeriesWitness("abelian", chain)
 
 
-def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
-    """Every strictly descending abelian ideal series of B, by exhaustion.
-
-    Members at level k are proper ideals of the level-(k-1) subbrace with
-    abelian quotient; chains are reported in B's element labels.
-    """
-
-    def chains_from(current: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
-        if current == ZERO:
-            return [(current,)]
-        sb = sub_brace(B, current)
-        out = []
-        for local in all_ideals(sb.brace):
-            member = sb.to_global(local)
-            if member == current or abelian_step(B, current, member):
-                continue
-            for tail in chains_from(member):
-                out.append((current,) + tail)
-        return out
-
-    return chains_from(B.carrier())
-
-
 def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
     """Every chief series of B (descending witnesses), lazily, depth first.
 

@@ -7,7 +7,7 @@ pyproject.toml puts this directory on sys.path.
 import itertools
 import random
 
-from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, validate_brace
+from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, sub_brace, validate_brace
 from braceforge.catalog import cyclic, dicyclic, dihedral, direct_product_group
 from braceforge.groups import (
     FiniteGroup,
@@ -21,6 +21,7 @@ from braceforge.groups import (
     pair_pool,
     validate_group,
 )
+from braceforge.structure import ZERO, abelian_step, all_ideals
 from braceforge.ybe import make_partition
 
 
@@ -174,6 +175,14 @@ def brute_comp(perms):
     return [tuple(index[compose(p, q)] for q in perms) for p in perms]
 
 
+def reference_permutation_table(perms):
+    """The Cayley table of a permutation group, every entry composed by hand:
+    entry [i][j] is the sorted index of perms[i] o perms[j], x -> p(q(x))."""
+    elems = sorted(perms)
+    index = {p: i for i, p in enumerate(elems)}
+    return [[index[tuple(p[q[i]] for i in range(len(q)))] for q in elems] for p in elems]
+
+
 def reference_regular_subgroups(G: FiniteGroup, perms):
     """Sorted assignments of the regular subgroups of G x| perms, by full-closure
     propagation; perms is a group of automorphisms, and assignments index it sorted.
@@ -309,6 +318,29 @@ def reference_decompositions(solution):
     for raw in set_partitions(list(range(solution.size))):
         if len(raw) >= 2 and reference_blocks_swap(solution, raw)[0]:
             yield make_partition(raw)
+
+
+def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
+    """Every strictly descending abelian ideal series of B, by exhaustion.
+
+    Members at level k are proper ideals of the level-(k-1) subbrace with
+    abelian quotient; chains are reported in B's element labels.
+    """
+
+    def chains_from(current: frozenset[int]) -> list[tuple[frozenset[int], ...]]:
+        if current == ZERO:
+            return [(current,)]
+        sb = sub_brace(B, current)
+        out = []
+        for local in all_ideals(sb.brace):
+            member = sb.to_global(local)
+            if member == current or abelian_step(B, current, member):
+                continue
+            for tail in chains_from(member):
+                out.append((current,) + tail)
+        return out
+
+    return chains_from(B.carrier())
 
 
 def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:

@@ -17,7 +17,6 @@ from braceforge.construct import (
 from braceforge.groups import group_isomorphism, identity_perm
 from braceforge.structure import (
     ZERO,
-    all_abelian_series,
     all_ideals,
     annihilator_quotient_test,
     derived_series,
@@ -35,7 +34,7 @@ from braceforge.ybe import (
     validate_solution,
     verify_multidecomposition,
 )
-from reference import is_automorphism
+from reference import all_abelian_series, is_automorphism
 
 MAX_ORDER = 8
 SLOW_ORDER = 12

