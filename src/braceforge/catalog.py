@@ -42,27 +42,33 @@ def direct_product_group(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     return validate_group(table, name=f"{G.name}x{H.name}")
 
 
+def _two_coset_group(r: int, mul: Callable, name: str) -> FiniteGroup:
+    """Order 2r on the elements a^i b^j -> 2i + j, where <a> has order r and
+    mul(i, j, k, l) is the (i, j) of a^i b^j * a^k b^l."""
+    size = 2 * r
+    check_group_order(size)
+    table = [[0] * size for _ in range(size)]
+    for i in range(r):
+        for j in range(2):
+            for k in range(r):
+                for l in range(2):
+                    ri, rj = mul(i, j, k, l)
+                    table[2 * i + j][2 * k + l] = 2 * ri + rj
+    return validate_group(table, name=name)
+
+
 def dihedral(m: int) -> FiniteGroup:
-    """Order 2m: <a, b | a^m = b^2 = 1, b a b = a^-1>, element a^i b^j -> 2i + j."""
+    """Order 2m: <a, b | a^m = b^2 = 1, b a b = a^-1>."""
     def mul(i, j, k, l):
         if j == 0:
             return ((i + k) % m, l)
         return ((i - k) % m, 1 - l)
 
-    size = 2 * m
-    check_group_order(size)
-    table = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(2):
-            for k in range(m):
-                for l in range(2):
-                    ri, rj = mul(i, j, k, l)
-                    table[2 * i + j][2 * k + l] = 2 * ri + rj
-    return validate_group(table, name=f"D{m}")
+    return _two_coset_group(m, mul, f"D{m}")
 
 
 def dicyclic(m: int) -> FiniteGroup:
-    """Order 4m: <a, b | a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>, a^i b^j -> 2i + j."""
+    """Order 4m: <a, b | a^2m = 1, b^2 = a^m, b a b^-1 = a^-1>."""
     def mul(i, j, k, l):
         if j == 0:
             return ((i + k) % (2 * m), l)
@@ -70,16 +76,7 @@ def dicyclic(m: int) -> FiniteGroup:
             return ((i - k) % (2 * m), 1)
         return ((i - k + m) % (2 * m), 0)
 
-    size = 4 * m
-    check_group_order(size)
-    table = [[0] * size for _ in range(size)]
-    for i in range(2 * m):
-        for j in range(2):
-            for k in range(2 * m):
-                for l in range(2):
-                    ri, rj = mul(i, j, k, l)
-                    table[2 * i + j][2 * k + l] = 2 * ri + rj
-    return validate_group(table, name=f"Dic{m}" if m != 2 else "Q8")
+    return _two_coset_group(2 * m, mul, f"Dic{m}" if m != 2 else "Q8")
 
 
 def _permutation_group(perms: list[tuple[int, ...]], name: str) -> FiniteGroup:

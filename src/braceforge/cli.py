@@ -1,13 +1,14 @@
 """Batch command-line frontend: census, dossiers, theorem sweeps, decompositions.
 
-Exit codes: 0 pass, 2 missing catalog, 3 bound exceeded or BRACEFORGE_BOUND
-not a positive integer (checked at startup, whatever the command), 4 invalid
-input (including a document that is not a JSON object, tables that are not
-square lists of lists and verify --max-order below 1), 5 theorem violation
-(the counterexample follows on stderr as JSON, with the brace it failed on
-when there is one), 6 not soluble, 7 an output file could not be written,
-1 internal error.  BRACEFORGE_BOUND is the only size setting; see
-groups.enumeration_bound.  All output is deterministic.  On a solution
+Exit codes: 0 pass, 2 missing catalog or a command line the parser refuses
+(an unknown scope or option, a non-integer --order), 3 bound exceeded or
+BRACEFORGE_BOUND not a positive integer (checked at startup, whatever the
+command), 4 invalid input (including a document that is not a JSON object,
+tables that are not square lists of lists and verify --max-order below 1),
+5 theorem violation (the counterexample follows on stderr as JSON, with the
+brace it failed on when there is one), 6 not soluble, 7 an output file could
+not be written, 1 internal error.  BRACEFORGE_BOUND is the only size setting;
+see groups.enumeration_bound.  All output is deterministic.  On a solution
 document, decompose reports the <lambda_x, rho_y>-orbit partition, found in
 O(m^2) time on m points.
 """
@@ -60,11 +61,9 @@ from .structure import (
 from .ybe import (
     embedded_multidecomposition,
     ideal_coset_decomposition,
-    is_partition_decomposable,
     multidecomposition_from_series,
     orbit_partition,
     r_closed_subsets,
-    singletons_partition,
     solution_from_brace,
     verify_multidecomposition,
 )
@@ -158,21 +157,11 @@ def cmd_analyze(args) -> int:
 def cmd_decompose(args) -> int:
     data = jsonio.read_object(args.input)
     if "lambda" in data or "rho" in data:
-        solution = jsonio.load_solution_data(data)
-        if args.partition == "singletons":
-            partition = singletons_partition(solution.ground())
-            ok, witness = is_partition_decomposable(solution, partition)
-            _emit({"input": "solution", "partition": partition.to_json(),
-                   "decomposable": ok,
-                   "failure": list(witness) if witness else None}, args.out)
-            return EXIT_OK
-        orbits = orbit_partition(solution)
+        orbits = orbit_partition(jsonio.load_solution_data(data))
         decomposable = len(orbits.blocks) >= 2
         _emit({"input": "solution", "decomposable": decomposable,
                "partition": orbits.to_json() if decomposable else None}, args.out)
         return EXIT_OK
-    if args.partition is not None:
-        raise InvalidDocument("--partition applies to solution documents only")
     brace, _ = jsonio.load_brace_data(data)
     # the chief series is the finest canonical abelian series of a soluble brace
     witness = multidecomposition_from_series(brace, chief_series_as_abelian(brace))
@@ -339,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="decomposition witness for a brace or solution")
     p_dec.add_argument("input")
-    p_dec.add_argument("--partition", choices=["singletons"])
     p_dec.add_argument("--out")
     p_dec.set_defaults(fn=cmd_decompose)
 

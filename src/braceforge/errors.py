@@ -65,8 +65,7 @@ class InvalidBound(BraceforgeError):
 
 class InvalidDocument(BraceforgeError):
     """An input file does not hold a JSON object, its tables are not square lists of
-    lists, its declared order or size is not the int table size, or it is given
-    an option that applies only to another kind of document."""
+    lists, or its declared order or size is not the int table size."""
 
 
 class OutputError(BraceforgeError):

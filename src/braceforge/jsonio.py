@@ -108,10 +108,19 @@ def _relabel(table: Sequence[Sequence[int]], perm: Perm) -> list[list[int]]:
     return out
 
 
-def _swap_perm(n: int, e: int) -> Perm:
-    perm = list(range(n))
+def _identity_first(*tables: Sequence[Sequence[int]]) -> tuple[tuple, Perm | None]:
+    """The tables with the first one's identity moved to 0, and the swap used.
+
+    Every table is relabelled by the swap of 0 and the identity; the
+    relabeling is None, and the tables come back as given, when it is at 0.
+    """
+    e = _find_identity(tables[0])
+    if e == 0:
+        return tables, None
+    perm = list(range(len(tables[0])))
     perm[0], perm[e] = e, 0
-    return tuple(perm)
+    relabeling = tuple(perm)
+    return tuple(_relabel(t, relabeling) for t in tables), relabeling
 
 
 def group_to_json(G: FiniteGroup) -> dict:
@@ -121,11 +130,7 @@ def group_to_json(G: FiniteGroup) -> dict:
 def load_group_data(data: dict) -> tuple[FiniteGroup, LoadReport]:
     table, = _square_tables(data, "table")
     _check_declared(data, "order", len(table))
-    e = _find_identity(table)
-    relabeling = None
-    if e != 0:
-        relabeling = _swap_perm(len(table), e)
-        table = _relabel(table, relabeling)
+    (table,), relabeling = _identity_first(table)
     return validate_group(table), LoadReport(relabeling)
 
 
@@ -142,12 +147,7 @@ def brace_to_json(B: SkewBrace) -> dict:
 def load_brace_data(data: dict) -> tuple[SkewBrace, LoadReport]:
     add, mul = _square_tables(data, "add", "mul")
     _check_declared(data, "order", len(add))
-    e = _find_identity(add)
-    relabeling = None
-    if e != 0:
-        relabeling = _swap_perm(len(add), e)
-        add = _relabel(add, relabeling)
-        mul = _relabel(mul, relabeling)
+    (add, mul), relabeling = _identity_first(add, mul)
     return validate_brace(add, mul), LoadReport(relabeling)
 
 

@@ -1,8 +1,9 @@
 """Ideal lattice, commutator ideals, solubility, chief series, Frattini theory.
 
-A series is its descending chain of carrier subsets and nothing more.  Abelian
-series are checked step by step as they are built, and ybe's series
-validation re-checks the chain alone before it builds a witness on it.
+A series is its descending chain of carrier subsets and nothing more: no label
+says what built it.  The derived series is checked step by step as it is
+built, chief_series_as_abelian checks the chief series' steps the same way,
+and ybe checks each step of any chain before it builds a witness on it.
 """
 
 from __future__ import annotations
@@ -145,13 +146,11 @@ def derived_ideal(B: SkewBrace) -> frozenset[int]:
 class SeriesWitness:
     """A series as its descending chain of carrier subsets; nothing else is stored.
 
-    kind "abelian": each member is an ideal of its predecessor (viewed as a
-    standalone brace) with abelian quotient, which ybe's series validation
-    re-checks step by step.  kind "chief": each member is an ideal of B and
-    each factor is a minimal ideal of the quotient below it.
+    The chain is the whole claim: ybe checks each step (an ideal of its
+    predecessor, viewed as a standalone brace, with abelian quotient) before
+    it builds a witness on it, whether the chain is a derived or a chief series.
     """
 
-    kind: str
     chain: tuple[frozenset[int], ...]
 
     @property
@@ -196,7 +195,7 @@ def derived_series(B: SkewBrace) -> SeriesWitness:
         _require_abelian_step(B, current, nxt)
         chain.append(nxt)
         current = nxt
-    return SeriesWitness("abelian", tuple(chain))
+    return SeriesWitness(tuple(chain))
 
 
 def is_soluble(B: SkewBrace) -> bool:
@@ -219,10 +218,10 @@ def chief_series_as_abelian(B: SkewBrace) -> SeriesWitness:
     """
     if not is_soluble(B):
         raise NotSoluble(f"brace of order {B.order} is not soluble")
-    chain = chief_series(B).chain
-    for upper, lower in zip(chain, chain[1:]):
+    series = chief_series(B)
+    for upper, lower in zip(series.chain, series.chain[1:]):
         _require_abelian_step(B, upper, lower)
-    return SeriesWitness("abelian", chain)
+    return series
 
 
 def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
@@ -235,7 +234,7 @@ def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
 
     def ascend(acc: list[frozenset[int]]) -> Iterator[SeriesWitness]:
         if acc[-1] == carrier:
-            yield SeriesWitness("chief", tuple(reversed(acc)))
+            yield SeriesWitness(tuple(reversed(acc)))
             return
         q = quotient(B, acc[-1])
         for pick in minimal_ideals(q.brace):

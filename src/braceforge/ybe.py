@@ -282,10 +282,6 @@ def make_partition(blocks: Iterable[Iterable[int]]) -> Partition:
     return Partition(ground, bs)
 
 
-def singletons_partition(ground: Iterable[int]) -> Partition:
-    return make_partition([{x} for x in ground])
-
-
 def _blocks_swap_ok(solution: Solution, blocks: Sequence[frozenset[int]]) -> tuple[bool, tuple | None]:
     """r(Xi x Xj) lands in Xj x Xi for every ordered block pair."""
     for bi in blocks:
@@ -522,16 +518,17 @@ def verify_multidecomposition(solution: Solution,
 
 @memoised
 def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[tuple[int, ...], ...]:
-    """The checked abelian series as its steps, each cut into coset labels.
+    """The series' chain, checked step by step, as its steps cut into coset labels.
 
-    Step j labels each element of member j with the index of its coset of
+    A chain can carry a witness exactly when it descends strictly from the
+    carrier to 0 and each member is an ideal of its predecessor with abelian
+    quotient; those checks alone decide it, whatever built the chain.  Step j
+    labels each element of member j with the index of its coset of
     member j + 1 (blocks in subset_key order), and every element outside
     member j with -1.  Each step's cosets are checked here, once, to
     block-swap for the brace solution; InternalInvariant names the step and
     the first failing pair otherwise.
     """
-    if series.kind != "abelian":
-        raise SeriesInvalid(f"expected an abelian series, got {series.kind!r}")
     chain = series.chain
     if not chain or chain[0] != B.carrier() or chain[-1] != ZERO:
         raise SeriesInvalid("series must descend from the whole brace to 0")

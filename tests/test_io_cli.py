@@ -402,14 +402,6 @@ class TestCliDecompose:
                     jsonio.brace_to_json(trivial_brace(alternating_5())))
         assert main(["decompose", src]) == 6
 
-    def test_solution_singletons(self, tmp_path):
-        src = write(tmp_path, "flip.json",
-                    jsonio.solution_to_json(flip_solution(4)))
-        out = tmp_path / "v.json"
-        assert main(["decompose", src, "--partition", "singletons",
-                     "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["decomposable"] is True
-
     def test_solution_exhaustive_search(self, tmp_path):
         src = write(tmp_path, "flip4.json",
                     jsonio.solution_to_json(flip_solution(4)))
@@ -443,20 +435,29 @@ class TestCliDecompose:
         assert json.loads(capsys.readouterr().out) == \
             {"input": "solution", "decomposable": False, "partition": None}
 
-    @pytest.mark.parametrize("mode", [[], ["--partition", "singletons"]])
-    def test_solution_on_no_points_refused(self, tmp_path, capsys, mode):
+    def test_one_point_solution_is_indecomposable(self, tmp_path, capsys):
+        # one point is one orbit: no decomposition has two blocks
+        src = write(tmp_path, "one-point.json", {"lambda": [[0]], "rho": [[0]]})
+        assert main(["decompose", src]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            {"decomposable": False, "input": "solution", "partition": None}
+
+    def test_solution_on_no_points_refused(self, tmp_path, capsys):
         src = write(tmp_path, "empty.json", {"lambda": [], "rho": []})
-        assert main(["decompose", src, *mode]) == cli.EXIT_VALIDATION
+        assert main(["decompose", src]) == cli.EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "validation failed: table shape: empty table\n"
 
-    def test_partition_refused_for_a_brace(self, tmp_path, capsys):
-        src = write(tmp_path, "z6.json", jsonio.brace_to_json(trivial_brace(cyclic(6))))
-        assert main(["decompose", src, "--partition", "singletons"]) == cli.EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert captured.err == "validation failed: --partition applies to solution documents only\n"
-        assert captured.out == ""
+    def test_refused_command_line_exit_code(self, tmp_path, capsys):
+        # the parser refuses an unknown scope or option and exits 2 with its usage
+        src = write(tmp_path, "flip.json", jsonio.solution_to_json(flip_solution(4)))
+        for argv in (["verify", "Z"], ["decompose", src, "--partition", "singletons"]):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("usage:") and captured.out == ""
 
     @pytest.mark.parametrize("text", ["5", '["lambda", "rho"]'])
     def test_non_object_exit_code(self, tmp_path, capsys, text):
@@ -591,8 +592,7 @@ class TestCliEnvironment:
         # decompose on a solution never reaches a bound check; it fails at startup
         src = write(tmp_path, "flip.json", jsonio.solution_to_json(flip_solution(4)))
         monkeypatch.setenv("BRACEFORGE_BOUND", value)
-        for argv in (["enumerate", "--order", "4"], ["decompose", src],
-                     ["decompose", src, "--partition", "singletons"]):
+        for argv in (["enumerate", "--order", "4"], ["decompose", src]):
             assert main(argv) == 3
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "not a positive integer" in err

@@ -374,8 +374,9 @@ class TestAbelianSeries:
             assert derived_length(B) == min(len(s) - 1 for s in series_list)
 
     def test_chief_series_as_abelian(self):
-        w = chief_series_as_abelian(trivial_brace(cyclic(6)))
-        assert w.kind == "abelian" and w.terminated and w.length == 2
+        B = trivial_brace(cyclic(6))
+        w = chief_series_as_abelian(B)
+        assert w == chief_series(B) and w.terminated and w.length == 2
         with pytest.raises(NotSoluble):
             chief_series_as_abelian(trivial_brace(alternating_5()))
 

@@ -27,6 +27,8 @@ from braceforge.structure import (
     SeriesWitness,
     abelian_step,
     all_ideals,
+    chief_series,
+    chief_series_as_abelian,
     derived_series,
     is_soluble,
 )
@@ -42,7 +44,6 @@ from braceforge.ybe import (
     multidecomposition_from_series,
     orbit_partition,
     r_closed_subsets,
-    singletons_partition,
     solution_from_brace,
     validate_solution,
     verify_multidecomposition,
@@ -73,7 +74,6 @@ def r_closed_scan(solution):
 def embedded_reference(solution, X, B, embed, series):
     """Reference for embedded_multidecomposition: check the series and build
     every coset partition again for each X, as the per-subset path did."""
-    assert series.kind == "abelian"
     chain = series.chain
     assert chain[0] == B.carrier() and chain[-1] == ZERO
     for upper, lower in zip(chain, chain[1:]):
@@ -97,7 +97,7 @@ def embedded_reference(solution, X, B, embed, series):
 def z4_two_step_series():
     B = trivial_brace(cyclic(4))
     chain = (frozenset(range(4)), frozenset({0, 2}), ZERO)
-    return B, SeriesWitness("abelian", chain)
+    return B, SeriesWitness(chain)
 
 
 class TestValidateSolution:
@@ -206,7 +206,7 @@ class TestPartitionDecomposable:
         s = flip_solution(4)
         ok, _ = is_partition_decomposable(s, make_partition([{0, 1}, {2, 3}]))
         assert ok
-        ok, _ = is_partition_decomposable(s, singletons_partition(range(4)))
+        ok, _ = is_partition_decomposable(s, make_partition([x] for x in range(4)))
         assert ok
 
     def test_conjugation_coset_partition(self):
@@ -237,7 +237,7 @@ class TestCosetPartition:
     def test_zero_ideal_singletons(self):
         B = trivial_brace(cyclic(4))
         p = coset_partition(B, ZERO)
-        assert p == singletons_partition(range(4))
+        assert p == make_partition([x] for x in range(4))
 
     def test_z4_two_blocks(self):
         p = coset_partition(trivial_brace(cyclic(4)), frozenset({0, 2}))
@@ -278,7 +278,7 @@ class TestMultidecomposition:
         B = trivial_brace(cyclic(3))
         w = multidecomposition_from_series(B, derived_series(B))
         assert w.chain == (frozenset(range(3)), ZERO)
-        assert w.partitions[0] == singletons_partition(range(3))
+        assert w.partitions[0] == make_partition([x] for x in range(3))
 
     def test_trivial_s3_two_levels(self):
         B = trivial_brace(S3)
@@ -295,16 +295,25 @@ class TestMultidecomposition:
 
     def test_series_validation(self):
         B = trivial_brace(cyclic(4))
-        bad_kind = SeriesWitness("chief", (B.carrier(), ZERO))
-        with pytest.raises(SeriesInvalid):
-            multidecomposition_from_series(B, bad_kind)
-        not_terminated = SeriesWitness("abelian", (B.carrier(),))
+        not_terminated = SeriesWitness((B.carrier(),))
         with pytest.raises(SeriesInvalid):
             multidecomposition_from_series(B, not_terminated)
-        not_ideal = SeriesWitness(
-            "abelian", (B.carrier(), frozenset({0, 1}), ZERO))
+        not_ideal = SeriesWitness((B.carrier(), frozenset({0, 1}), ZERO))
         with pytest.raises(SeriesInvalid):
             multidecomposition_from_series(B, not_ideal)
+        # A5 > 0 is a chief series with a non-abelian factor: its chain alone refuses it
+        A5 = trivial_brace(alternating_5())
+        with pytest.raises(SeriesInvalid):
+            multidecomposition_from_series(A5, chief_series(A5))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_chief_series_witness_is_the_decompose_witness(self, n):
+        # decompose builds its witness on chief_series_as_abelian; the bare chief series gives it too
+        for entry in enumerate_braces(n):
+            B = entry.brace
+            if is_soluble(B):
+                assert (multidecomposition_from_series(B, chief_series(B))
+                        == multidecomposition_from_series(B, chief_series_as_abelian(B)))
 
     def test_tampered_witness_fails_verification(self):
         B = trivial_brace(S3)
