@@ -23,13 +23,13 @@ from .groups import (
     FiniteGroup,
     Perm,
     _isomorphisms,
+    _subgroups,
     check_bound,
     compose,
     enumeration_bound,
     closure_with_generators,
     identity_perm,
     memoised,
-    subgroups,
     validate_group,
 )
 
@@ -266,53 +266,111 @@ def annihilator(B: SkewBrace) -> frozenset[int]:
 def classify_subset(B: SkewBrace, S: Iterable[int]) -> SubsetFlags:
     """Decide subbrace / left ideal / ideal on generators; memoised on B.
 
-    Raises ValueError when a member of S is not an element 0..order-1 of B.
+    The case U = B of classify_within.  Raises ValueError when a member of S
+    is not an element 0..order-1 of B.
     """
     return _classify(B, frozenset(S))
 
 
+def classify_within(B: SkewBrace, U: Iterable[int], S: Iterable[int]) -> SubsetFlags:
+    """The flags of S as a subset of the subbrace U of B, decided in B's tables; memoised on B.
+
+    The rules of _classify with U's generators in place of B's, so no table
+    of U is built.  A set with a member outside U has no flags.  Raises
+    ValueError when U is not a subbrace of B, or a member of S is not an
+    element of B.
+    """
+    ambient, key = frozenset(U), frozenset(S)
+    if not _classify(B, ambient).subbrace:
+        raise ValueError(f"{sorted(ambient)} is not a subbrace")
+    if len(ambient) == B.order:
+        return _classify(B, key)
+    return _classify(B, key, ambient)
+
+
+def subbrace_generators(B: SkewBrace, U: frozenset[int]) -> tuple[Sequence[int], Sequence[int]]:
+    """The additive and multiplicative generators of the subbrace U of B.
+
+    B's own generators when U is B; otherwise the generators
+    closure_with_generators takes from U in each table, memoised on B per U.
+    The caller vouches that U is a subbrace.
+    """
+    if len(U) == B.order:
+        return B.add.generators(), B.mul.generators()
+    return _subbrace_generators(B, U)
+
+
 @memoised
-def _classify(B: SkewBrace, key: frozenset[int]) -> SubsetFlags:
-    """The flags of key, each closure condition decided on generators.
+def _subbrace_generators(B: SkewBrace, U: frozenset[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return (tuple(closure_with_generators(B.add.table, U)[1]),
+            tuple(closure_with_generators(B.mul.table, U)[1]))
+
+
+@memoised
+def _classify(B: SkewBrace, key: frozenset[int],
+              ambient: frozenset[int] | None = None) -> SubsetFlags:
+    """The flags of key inside the subbrace ambient (all of B when None), decided on generators.
 
     The ideal conditions are those of Guarnieri-Vendramin (Math. Comp. 2017):
-    an ideal is an additive subgroup S with lambda_b(S) <= S for every b,
-    normal in (B, +), with a * b = lambda_a(b) - b in S for a in S and every
-    b.  S holding 0 is an additive subgroup exactly when the closure that
-    closure_with_generators grows from its members stays within S, and the
-    growth stops at the first sum outside S; call the generators that
-    closure took gens_S.  Every map tried below is additive, so it sends S
-    into S exactly when it sends gens_S into S.
-
-    - Left ideal: lambda_b(s) in S for b among mul.generators() and s in
-      gens_S.  The b with lambda_b(S) <= S form a multiplicative subgroup,
-      since lambda_b lambda_c = lambda_bc.
-    - Subbrace, asked only when S is no left ideal (a left ideal is one):
-      lambda_a(s) in S for every a in S and s in gens_S, since ab = a +
-      lambda_a(b).
-    - Normal: b + s - b in S for b among add.generators() and s in gens_S,
-      since conjugation by b + c is conjugation by b after c.
-    - Ideal, for a normal left ideal: lambda_a(b) - b in S for every a in S
-      and b among add.generators().  For each a the b that pass are closed
-      under +, by a * (b + c) = a * b + b + a * c - b with S normal
-      (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).
+    an ideal of a brace U is an additive subgroup S with lambda_b(S) <= S
+    for every b in U, normal in (U, +), with a * b = lambda_a(b) - b in S
+    for a in S and every b in U.  S holding 0 is an additive subgroup
+    exactly when the closure that closure_with_generators grows from its
+    members stays within S, and the growth stops at the first sum outside
+    S; call the generators that closure took gens_S.  _subgroup_flags
+    passes the generators a subgroup was enumerated from instead.  The rules
+    are _flags'.
     """
     n = B.order
     for a in key:
         if not isinstance(a, int) or not 0 <= a < n:
             raise ValueError(f"subset member {a!r} is not an element 0..{n - 1} of the brace")
-    if 0 not in key:
+    if 0 not in key or (ambient is not None and not key <= ambient):
         return _NO_FLAGS
     if len(key) == 1:
         return _ALL_FLAGS
-    at, ai, lam = B.add.table, B.add.inverse, B.lam
-    grown = closure_with_generators(at, key, within=key)
+    grown = closure_with_generators(B.add.table, key, within=key)
     if grown is None:
         return _NO_FLAGS
-    gens = grown[1]
-    if not all(lam[b][s] in key for b in B.mul.generators() for s in gens):
+    if ambient is None:
+        return _flags(B, key, grown[1], B.add.generators(), B.mul.generators())
+    return _flags(B, key, grown[1], *_subbrace_generators(B, ambient))
+
+
+def _subgroup_flags(B: SkewBrace, S: frozenset[int], gens: Sequence[int]) -> SubsetFlags:
+    """classify_subset(B, S) for an additive subgroup S that gens generate, in the same memo entry.
+
+    S is not grown again: gens, from the enumeration of B's subgroups, stand
+    in for the generators its closure would take.
+    """
+    return _classify.cached_or(
+        B, lambda: _flags(B, S, gens, B.add.generators(), B.mul.generators()), S)
+
+
+def _flags(B: SkewBrace, key: frozenset[int], gens: Sequence[int],
+           add_gens: Sequence[int], mul_gens: Sequence[int]) -> SubsetFlags:
+    """The flags of the additive subgroup key, spanned by gens, inside the
+    subbrace U that add_gens and mul_gens generate.
+
+    Every map tried below is additive, so it sends key into key exactly
+    when it sends gens into key.
+
+    - Left ideal: lambda_b(s) in key for b among mul_gens and s in gens.
+      The b in U with lambda_b(key) <= key form a multiplicative subgroup,
+      since lambda_b lambda_c = lambda_bc.
+    - Subbrace, asked only when key is no left ideal (a left ideal is one):
+      lambda_a(s) in key for every a in key and s in gens, since ab = a +
+      lambda_a(b).
+    - Normal in (U, +): b + s - b in key for b among add_gens and s in
+      gens, since conjugation by b + c is conjugation by b after c.
+    - Ideal, for a normal left ideal: lambda_a(b) - b in key for every a in
+      key and b among add_gens.  For each a the b that pass are closed
+      under +, by a * (b + c) = a * b + b + a * c - b with key normal
+      (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).
+    """
+    at, ai, lam = B.add.table, B.add.inverse, B.lam
+    if not all(lam[b][s] in key for b in mul_gens for s in gens):
         return SubsetFlags(all(lam[a][s] in key for a in key for s in gens), False, False)
-    add_gens = B.add.generators()
     if not all(at[at[b][s]][ai[b]] in key for b in add_gens for s in gens):
         return SubsetFlags(True, True, False)
     return SubsetFlags(True, True, all(at[lam[a][b]][ai[b]] in key
@@ -346,8 +404,14 @@ def require_ideal(B: SkewBrace, *subsets: frozenset[int]) -> None:
 
 
 def subbraces(B: SkewBrace) -> list[frozenset[int]]:
-    """All subbraces: additive subgroups also closed under the product."""
-    return [S for S in subgroups(B.add) if classify_subset(B, S).subbrace]
+    """All subbraces: additive subgroups also closed under the product; filtered once per B."""
+    check_bound("group order", B.order, enumeration_bound())
+    return list(_subbraces(B))
+
+
+@memoised
+def _subbraces(B: SkewBrace) -> list[frozenset[int]]:
+    return [S for S, gens in _subgroups(B.add) if _subgroup_flags(B, S, gens).subbrace]
 
 
 @dataclass(frozen=True)

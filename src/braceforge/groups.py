@@ -80,6 +80,9 @@ def memoised(fn: Callable) -> Callable:
     never cached.  Callers run bound checks, and argument checks that a
     cached key would not prove, before the lookup; a check that fn raises on
     needs no repeat on a hit, since its key never enters the cache.
+    `wrapper.cached_or(obj, compute, *args)` reads and fills the same entry,
+    running compute() in place of fn on a miss, for a caller that already
+    holds what fn would recompute; compute() must return what fn would.
     """
     @functools.wraps(fn)
     def wrapper(obj, *args):
@@ -90,6 +93,15 @@ def memoised(fn: Callable) -> Callable:
             value = cache[key] = fn(obj, *args)
         return value
 
+    def cached_or(obj, compute: Callable[[], object], *args):
+        key = (fn, *args)
+        cache = obj._cache
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = compute()
+        return value
+
+    wrapper.cached_or = cached_or
     return wrapper
 
 
@@ -383,14 +395,14 @@ def subgroups(G: FiniteGroup) -> list[frozenset[int]]:
     and generators by grow_closure rather than closed from scratch.
     """
     check_bound("group order", G.order, enumeration_bound())
-    return list(_subgroups(G))
+    return [K for K, _ in _subgroups(G)]
 
 
 @memoised
-def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
+def _subgroups(G: FiniteGroup) -> list[tuple[frozenset[int], tuple[int, ...]]]:
+    """subgroups(G), each paired with the generators it was first grown from."""
     table = G.table
-    base = frozenset({0})
-    found = {base}
+    found = {frozenset({0}): ()}
     frontier = [([0], [True] + [False] * (G.order - 1), [])]
     while frontier:
         members, seen, gens = frontier.pop()
@@ -404,9 +416,9 @@ def _subgroups(G: FiniteGroup) -> list[frozenset[int]]:
             grow_closure(table, grown, grown_seen, grown_gens, g)
             K = frozenset(grown)
             if K not in found:
-                found.add(K)
+                found[K] = tuple(grown_gens)
                 frontier.append((grown, grown_seen, grown_gens))
-    return sorted(found, key=subset_key)
+    return sorted(found.items(), key=lambda item: subset_key(item[0]))
 
 
 def generating_set(table: Sequence[Sequence[int]]) -> tuple[int, ...]:

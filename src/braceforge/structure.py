@@ -4,34 +4,46 @@ A series is its descending chain of carrier subsets and nothing more: no label
 says what built it.  The derived series is checked step by step as it is
 built, chief_series_as_abelian checks the chief series' steps the same way,
 and ybe checks each step of any chain before it builds a witness on it.
+
+A series member U is a subbrace, a brace in its own right, but every question
+about it is answered in B's own tables on U's generators
+(braces.subbrace_generators), never on a standalone copy of U or on a
+quotient of it.  Each rule that decides a property for B on B's generators
+decides it for U on U's: the elements that pass are a subgroup of U, so
+passing on U's generators is passing on all of U.  That gives the ideals of
+U (braces.classify_within), the least ideal of U holding a set of
+commutators (_commutator_ideal), and whether U modulo an ideal is abelian
+(abelian_step).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .braces import (
     SkewBrace,
+    _subbraces,
+    _subgroup_flags,
     annihilator,
     classify_subset,
+    classify_within,
     fix_set,
     kernel_lambda,
     quotient,
     require_ideal,
     socle,
-    sub_brace,
+    subbrace_generators,
     subbraces,
 )
 from .errors import InternalInvariant, NotAnIdeal, NotSoluble, TheoremViolation
 from .groups import (
     _prime_power,
+    _subgroups,
     check_bound,
     enumeration_bound,
     grow_closure,
-    closure_with_generators,
     memoised,
-    subgroups,
     subset_key,
 )
 
@@ -46,7 +58,7 @@ def all_ideals(B: SkewBrace) -> list[frozenset[int]]:
 
 @memoised
 def _all_ideals(B: SkewBrace) -> list[frozenset[int]]:
-    return [S for S in subgroups(B.add) if classify_subset(B, S).ideal]
+    return [S for S, gens in _subgroups(B.add) if _subgroup_flags(B, S, gens).ideal]
 
 
 def minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
@@ -76,36 +88,46 @@ def commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[
 
 @memoised
 def _commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset[int]:
-    """The ideal generated by the commutator generators, grown by a worklist.
+    """[I, J] by _commutator_ideal, with B as the ambient brace."""
+    current = _commutator_ideal(B, I, subbrace_generators(B, J),
+                                (B.add.generators(), B.mul.generators()))
+    if not classify_subset(B, current).ideal:
+        raise InternalInvariant("commutator closure did not reach an ideal")
+    return current
 
-    i runs over all of I, and j only over generators of J: over J's
-    additive generators (from closure_with_generators) for -i - j + i + j and
-    ij - (i + j), and over its multiplicative ones for i^-1 j^-1 i j.  When
-    J = B these are B.add.generators() and B.mul.generators().  Modulo the
-    final ideal K, which is normal in (B, +) and in (B, .), each set of j
-    that passes is a subgroup: the first two are the j commuting with i in
-    (B, +)/K and in (B, .)/K, and ij - (i + j) = i + (i * j) - i is a
-    conjugate of i * j = lambda_i(j) - j, where i * (b + c) = i * b + b +
-    i * c - b (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).  So the
-    generators taken span the same ideal as those over all of J.
+
+def _commutator_ideal(B: SkewBrace, I: frozenset[int],
+                      J_gens: tuple[Sequence[int], Sequence[int]],
+                      ambient_gens: tuple[Sequence[int], Sequence[int]]) -> frozenset[int]:
+    """[I, J] inside a subbrace U of B, grown by a worklist in B's tables.
+
+    I and J are ideals of U; J_gens are J's additive and multiplicative
+    generators and ambient_gens U's (braces.subbrace_generators), U = B
+    included.  i runs over all of I, and j only over generators of J: over
+    J's additive ones for -i - j + i + j and ij - (i + j), and over its
+    multiplicative ones for i^-1 j^-1 i j.  Modulo the final ideal K, which
+    is normal in (U, +) and in (U, .), each set of j that passes is a
+    subgroup: the first two are the j commuting with i in (U, +)/K and in
+    (U, .)/K, and ij - (i + j) = i + (i * j) - i is a conjugate of i * j =
+    lambda_i(j) - j, where i * (b + c) = i * b + b + i * c - b
+    (Cedo-Smoktunowicz-Vendramin, Proc. LMS 2019).  So the generators taken
+    span the same ideal as those over all of J.
 
     They start one additive closure.  Each member's images under lambda_b
-    for b among mul.generators(), and under the additive conjugation b + s -
-    b and the star s * b for b among add.generators(), are taken once, when
-    the member is reached, and an image not yet reached becomes an additive
-    generator.  The members are then a left ideal and normal, by the rules
-    of braces._classify, and closed under s * b for every b, since for each
-    s the b that pass are closed under +.  So they are the least ideal
-    holding the generators.
+    for b among U's multiplicative generators, and under the additive
+    conjugation b + s - b and the star s * b for b among U's additive
+    generators, are taken once, when the member is reached, and an image
+    not yet reached becomes an additive generator.  The members are then a
+    left ideal of U and normal in it, by the rules of braces._flags, and
+    closed under s * b for every b in U, since for each s the b that pass
+    are closed under +.  So they are the least ideal of U holding the
+    generators.
     """
     at, ai = B.add.table, B.add.inverse
     mt, mi = B.mul.table, B.mul.inverse
     lam = B.lam
-    add_gens, mul_gens = B.add.generators(), B.mul.generators()
-    if len(J) == B.order:
-        add_js, mul_js = add_gens, mul_gens
-    else:
-        add_js, mul_js = closure_with_generators(at, J)[1], closure_with_generators(mt, J)[1]
+    add_js, mul_js = J_gens
+    add_gens, mul_gens = ambient_gens
     members, seen, gens = [0], [True] + [False] * (B.order - 1), []
     for i in I:
         neg_i, inv_i, ri = ai[i], mi[i], mt[i]
@@ -132,10 +154,7 @@ def _commutator(B: SkewBrace, I: frozenset[int], J: frozenset[int]) -> frozenset
                 if not seen[y]:
                     grow_closure(at, members, seen, gens, y)
         k += 1
-    current = frozenset(members)
-    if not classify_subset(B, current).ideal:
-        raise InternalInvariant("commutator closure did not reach an ideal")
-    return current
+    return frozenset(members)
 
 
 def derived_ideal(B: SkewBrace) -> frozenset[int]:
@@ -147,8 +166,9 @@ class SeriesWitness:
     """A series as its descending chain of carrier subsets; nothing else is stored.
 
     The chain is the whole claim: ybe checks each step (an ideal of its
-    predecessor, viewed as a standalone brace, with abelian quotient) before
-    it builds a witness on it, whether the chain is a derived or a chief series.
+    predecessor, a brace in its own right, with abelian quotient, by
+    abelian_step) before it builds a witness on it, whether the chain is a
+    derived or a chief series.
     """
 
     chain: tuple[frozenset[int], ...]
@@ -163,12 +183,28 @@ class SeriesWitness:
 
 
 def abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[int]) -> str | None:
-    """None when lower is an ideal of the subbrace upper with abelian quotient, else why not."""
-    sb = sub_brace(B, upper)
-    local = sb.to_local(lower)
-    if not classify_subset(sb.brace, local).ideal:
+    """None when lower is an ideal of the subbrace upper with abelian quotient, else why not.
+
+    Decided in B's tables on upper's generators, with no brace built for
+    upper or for the quotient.  lower is an ideal of upper by
+    braces.classify_within.  The quotient is abelian, a trivial brace on an
+    abelian group, when -b - a + b + a and lambda_a(b) - b lie in lower for
+    a, b among upper's additive generators in the first and a among its
+    multiplicative ones, b among its additive ones in the second.  That
+    suffices because lower is normal and lambda-invariant in upper: the b
+    that commute with a given a modulo lower form a subgroup, and so do the
+    a central modulo lower; for each a the b with lambda_a(b) - b in lower
+    are closed under +, and the a for which that holds for every b are
+    closed under the product, by lambda_ac(b) = lambda_a(b + l) for some l
+    in lower.  Raises ValueError when upper is not a subbrace.
+    """
+    if not classify_within(B, upper, lower).ideal:
         return "is not an ideal of"
-    return None if quotient(sb.brace, local).brace.is_abelian else "has a non-abelian quotient in"
+    at, ai, lam = B.add.table, B.add.inverse, B.lam
+    add_gens, mul_gens = subbrace_generators(B, frozenset(upper))
+    abelian = (all(at[at[at[ai[b]][ai[a]]][b]][a] in lower for a in add_gens for b in add_gens)
+               and all(at[lam[a][b]][ai[b]] in lower for a in mul_gens for b in add_gens))
+    return None if abelian else "has a non-abelian quotient in"
 
 
 def _require_abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[int]) -> None:
@@ -181,15 +217,16 @@ def _require_abelian_step(B: SkewBrace, upper: frozenset[int], lower: frozenset[
 def derived_series(B: SkewBrace) -> SeriesWitness:
     """B, [B,B], [[B,B],[B,B]], ... until stabilization.
 
-    Each term is the commutator ideal of the previous term computed inside it
-    as a standalone brace; the witness terminates at {0} exactly when B is
-    soluble.
+    Each term is the commutator ideal of the previous term U inside U, taken
+    by _commutator_ideal in B's tables with U's generators, so no brace is
+    built for U; each step is checked by abelian_step.  The witness
+    terminates at {0} exactly when B is soluble.
     """
     chain: list[frozenset[int]] = [B.carrier()]
     current = chain[0]
     while current != ZERO:
-        sb = sub_brace(B, current)
-        nxt = sb.to_global(derived_ideal(sb.brace))
+        gens = subbrace_generators(B, current)
+        nxt = _commutator_ideal(B, current, gens, gens)
         if nxt == current:
             break
         _require_abelian_step(B, current, nxt)
@@ -261,7 +298,7 @@ def maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
 @memoised
 def _maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
     carrier = B.carrier()
-    proper = [S for S in subbraces(B) if S != carrier]
+    proper = [S for S in _subbraces(B) if S != carrier]
     return [S for S in proper if not any(S < T for T in proper)]
 
 
@@ -341,10 +378,9 @@ def classify_chief_factor(B: SkewBrace, lower: frozenset[int],
     U = q.image(upper)
     if U not in minimal_ideals(q.brace):
         raise NotAnIdeal("upper/lower is not a chief factor")
-    factor = sub_brace(q.brace, U).brace
-    if not factor.is_abelian:
+    if abelian_step(q.brace, U, ZERO):
         return ChiefFactorReport(lower, upper, False, "neither", None, None, None, None)
-    p = _elementary_abelian_prime(factor, factor.carrier())
+    p = _elementary_abelian_prime(q.brace, U)
     if U <= frattini(q.brace):
         return ChiefFactorReport(lower, upper, True, "frattini", p, None, None, None)
     carrier = q.brace.carrier()

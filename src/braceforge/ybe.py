@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .braces import SkewBrace, quotient, require_ideal, sub_brace
+from .braces import SkewBrace, classify_within, quotient
 from .errors import (
     BoundExceeded,
     BraidFailed,
@@ -53,6 +53,7 @@ from .errors import (
     EmbeddingIncompatible,
     HypothesisFailed,
     InternalInvariant,
+    NotAnIdeal,
     QuotientNotAbelian,
     SeriesInvalid,
 )
@@ -431,18 +432,24 @@ def orbit_partition(solution: Solution) -> Partition:
 def coset_partition(B: SkewBrace, I: Iterable[int], within: Iterable[int] | None = None) -> Partition:
     """Left multiplicative cosets of the ideal I inside the subbrace `within`.
 
-    For an ideal these agree with the additive cosets; the equality is
-    asserted rather than assumed, once per coset.  Walking b upwards, the
-    first element not yet placed is the least of its coset, and each coset is
-    built from its rows once.  Uniform by Lagrange.  A non-ideal raises
+    I is checked to be an ideal of `within` by braces.classify_within, in
+    B's tables on the generators of `within`, so no brace is built for it.
+    For an ideal these cosets agree with the additive cosets; the equality
+    is asserted rather than assumed, once per coset.  Walking b upwards, the
+    first element not yet placed is the least of its coset, and each coset
+    is built from its rows once.  Uniform by Lagrange.  A non-ideal raises
     NotAnIdeal, whose message names I by its labels inside the subbrace
     `within` (the positions of its elements in sorted order), not by the
-    labels of B.
+    labels of B, or, when I leaves `within`, says so.  A `within` that is
+    not a subbrace raises ValueError.
     """
     scope = frozenset(within) if within is not None else B.carrier()
     ideal = frozenset(I)
-    sb = sub_brace(B, scope)
-    require_ideal(sb.brace, sb.to_local(ideal))
+    if not classify_within(B, scope, ideal).ideal:
+        if not ideal <= scope:
+            raise NotAnIdeal(f"{sorted(ideal)} is not inside the subbrace {sorted(scope)}")
+        position = {g: k for k, g in enumerate(sorted(scope))}
+        raise NotAnIdeal(f"{sorted(position[g] for g in ideal)} is not an ideal")
     members = sorted(ideal)
     blocks = []
     placed: set[int] = set()
@@ -527,7 +534,9 @@ def _series_cosets(B: SkewBrace, series: SeriesWitness) -> tuple[tuple[int, ...]
     member j + 1 (blocks in subset_key order), and every element outside
     member j with -1.  Each step's cosets are checked here, once, to
     block-swap for the brace solution; InternalInvariant names the step and
-    the first failing pair otherwise.
+    the first failing pair otherwise.  Both the step checks (abelian_step)
+    and the cosets (coset_partition with within=member j) are decided in B's
+    tables on the generators of member j, so no brace is built here.
     """
     chain = series.chain
     if not chain or chain[0] != B.carrier() or chain[-1] != ZERO:
@@ -612,7 +621,8 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
     swaps included, for callers that want it.
     """
     points = frozenset(X)
-    if not points or not points <= solution.ground():
+    # True and 1.0 compare equal to 1 but are not points
+    if not points or not all(type(x) is int and 0 <= x < solution.size for x in points):
         raise EmbeddingIncompatible("X must be a non-empty subset of the ground set")
     members = sorted(points)
     emap = {}
@@ -627,7 +637,7 @@ def embedded_multidecomposition(solution: Solution, X: Iterable[int], B: SkewBra
         emap[x] = image
     if len(set(emap.values())) != len(points):
         raise EmbeddingIncompatible("embedding is not injective")
-    if not set(emap.values()) <= set(B.elements()):
+    if not all(0 <= image < B.order for image in emap.values()):
         raise EmbeddingIncompatible("embedding leaves the brace carrier")
     brace_solution = solution_from_brace(B)
     # the brace solution's tables under the identity intertwine with themselves

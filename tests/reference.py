@@ -7,7 +7,16 @@ pyproject.toml puts this directory on sys.path.
 import itertools
 import random
 
-from braceforge.braces import Quotient, SkewBrace, SubsetFlags, star, sub_brace, validate_brace
+from braceforge.braces import (
+    Quotient,
+    SkewBrace,
+    SubsetFlags,
+    classify_subset,
+    quotient,
+    star,
+    sub_brace,
+    validate_brace,
+)
 from braceforge.catalog import cyclic, dicyclic, dihedral, direct_product_group
 from braceforge.groups import (
     FiniteGroup,
@@ -21,7 +30,7 @@ from braceforge.groups import (
     pair_pool,
     validate_group,
 )
-from braceforge.structure import ZERO, abelian_step, all_ideals
+from braceforge.structure import ZERO, abelian_step, all_ideals, derived_ideal
 from braceforge.ybe import make_partition
 
 
@@ -318,6 +327,35 @@ def reference_decompositions(solution):
     for raw in set_partitions(list(range(solution.size))):
         if len(raw) >= 2 and reference_blocks_swap(solution, raw)[0]:
             yield make_partition(raw)
+
+
+def reference_classify_within(B: SkewBrace, U: frozenset, S: frozenset) -> SubsetFlags:
+    """The flags of S inside the subbrace U, by classify_subset on U rebuilt as a standalone brace."""
+    sb = sub_brace(B, U)
+    if not S <= U:
+        return SubsetFlags(False, False, False)
+    return classify_subset(sb.brace, sb.to_local(S))
+
+
+def reference_abelian_step(B: SkewBrace, upper: frozenset, lower: frozenset):
+    """abelian_step on the standalone brace of upper: lower an ideal of it, with abelian quotient brace."""
+    sb = sub_brace(B, upper)
+    if not reference_classify_within(B, upper, lower).ideal:
+        return "is not an ideal of"
+    abelian = quotient(sb.brace, sb.to_local(lower)).brace.is_abelian
+    return None if abelian else "has a non-abelian quotient in"
+
+
+def reference_derived_series(B: SkewBrace) -> tuple[frozenset[int], ...]:
+    """The derived chain, each term the derived ideal of the standalone brace of the one before."""
+    chain = [B.carrier()]
+    while chain[-1] != ZERO:
+        sb = sub_brace(B, chain[-1])
+        nxt = sb.to_global(derived_ideal(sb.brace))
+        if nxt == chain[-1]:
+            break
+        chain.append(nxt)
+    return tuple(chain)
 
 
 def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:

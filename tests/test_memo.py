@@ -9,6 +9,7 @@ import pytest
 from braceforge import braces, groups, structure, ybe
 from braceforge.braces import (
     annihilator,
+    classify_subset,
     quotient,
     sub_brace,
     subbraces,
@@ -19,7 +20,7 @@ from braceforge.catalog import cyclic, symmetric_group
 from braceforge.cli import main
 from braceforge.construct import enumerate_braces
 from braceforge.errors import BoundExceeded, NotAnIdeal, SeriesInvalid
-from braceforge.groups import FiniteGroup, validate_group
+from braceforge.groups import FiniteGroup, subgroups, validate_group
 from braceforge.structure import (
     SeriesWitness,
     all_ideals,
@@ -29,6 +30,8 @@ from braceforge.structure import (
     derived_series,
     dossier,
     is_soluble,
+    maximal_subbraces,
+    minimal_ideals,
     verify_soluble_chief_factors,
 )
 from braceforge.ybe import (
@@ -262,10 +265,68 @@ def test_whole_brace_is_not_copied(monkeypatch):
 
     monkeypatch.setattr(braces, "_derived_brace", counting)
     derived_series(B)
-    assert orders == [2, 3]  # S3/A3 and A3; no copies of S3 or of A3
+    assert orders == []  # each step is decided in B's tables: no brace for A3 or S3/A3
     assert sub_brace(B, B.carrier()).brace is B and quotient(B, {0}).brace is B
     # neither is stored on B, where it would make B reference itself
     assert all(getattr(v, "brace", None) is not B for v in B._cache.values())
+
+
+def test_series_path_builds_no_derived_brace(monkeypatch, census8):
+    # derived_series and the first embedding decide each step in B's own tables
+    calls = []
+    original = braces._derived_brace
+
+    def counting(add_rows, mul_rows):
+        calls.append(len(add_rows))
+        return original(add_rows, mul_rows)
+
+    monkeypatch.setattr(braces, "_derived_brace", counting)
+    steps = 0
+    for B in census8[1:]:  # past the zero brace, every census brace to order 8 is soluble
+        fresh = validate_brace(B.add.table, B.mul.table)
+        series = derived_series(fresh)
+        steps += series.length
+        solution = solution_from_brace(fresh)
+        X = next(X for X in r_closed_subsets(solution) if X & series.chain[-2])
+        embedded_multidecomposition(solution, X, fresh, range(fresh.order), series)
+    assert steps > len(census8) and calls == []
+
+
+@pytest.mark.parametrize("fn", [all_ideals, minimal_ideals, maximal_subbraces])
+def test_bound_read_once_per_call(fn, monkeypatch):
+    # the public list reads BRACEFORGE_BOUND at entry; what it builds on does not
+    code, reads = groups._env_bound.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            reads.append(frame.f_code)
+
+    for B in (enumerate_braces(8)[5].brace, trivial_brace(symmetric_group(3))):
+        fresh = validate_brace(B.add.table, B.mul.table)
+        for _ in range(2):
+            reads.clear()
+            sys.setprofile(profile)
+            try:
+                fn(fresh)
+            finally:
+                sys.setprofile(None)
+            assert len(reads) == 1
+
+
+def test_subgroup_flags_are_the_classify_subset_entries(census8):
+    # all_ideals and subbraces flag each subgroup from the generators it was
+    # enumerated from, into the entry classify_subset reads: one per subgroup
+    kernel = braces._classify.__wrapped__
+    for B in census8:
+        fresh = validate_brace(B.add.table, B.mul.table)
+        all_ideals(fresh)
+        subbraces(fresh)
+        entries = {k[1:]: v for k, v in fresh._cache.items() if k[0] is kernel}
+        assert entries.keys() == {(S,) for S in subgroups(fresh.add)}
+        assert not any(isinstance(v, braces.SubsetFlags) for k, v in fresh._cache.items()
+                       if k[0] is not kernel)
+        for S in subgroups(fresh.add):
+            assert classify_subset(fresh, S) is entries[(S,)] == kernel(fresh, S)
 
 
 def test_verify_d_builds_each_brace_solution_once(monkeypatch, tmp_path):

@@ -10,6 +10,7 @@ from braceforge.braces import (
     almost_trivial_brace,
     annihilator,
     classify_subset,
+    classify_within,
     direct_product,
     is_isomorphic,
     quotient,
@@ -22,8 +23,10 @@ from braceforge.braces import (
 from braceforge.catalog import alternating_5, cyclic, direct_product_group, symmetric_group
 from braceforge.construct import enumerate_braces
 from braceforge.errors import NotAnIdeal, NotSoluble
+from braceforge.groups import subgroups
 from braceforge.structure import (
     ZERO,
+    abelian_step,
     all_ideals,
     annihilator_quotient_test,
     chief_series,
@@ -45,7 +48,16 @@ from braceforge.structure import (
     verify_soluble_chief_factors,
 )
 
-from reference import all_abelian_series
+from braceforge.ybe import coset_partition
+
+from reference import (
+    ORDER_16,
+    all_abelian_series,
+    reference_abelian_step,
+    reference_classify_within,
+    reference_coset_partition,
+    reference_derived_series,
+)
 
 S3 = symmetric_group(3)
 A3 = frozenset({0, 3, 4})
@@ -227,6 +239,74 @@ class TestDerivedSeries:
     def test_soluble_examples(self):
         assert is_soluble(trivial_brace(cyclic(6)))
         assert derived_length(almost_trivial_brace(S3)) == 2
+
+
+class TestSeriesStepsOnGenerators:
+    """Series steps decided in B's tables agree with the standalone-brace route they replace."""
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_chains_match_the_sub_brace_route(self, n):
+        # the derived and chief series of every census brace, order 16 on the
+        # ORDER_16 classes; every ordered pair of chain members is a step
+        census = enumerate_braces(n, extra_groups=ORDER_16 if n == 16 else None)
+        verdicts = set()
+        for entry in census:
+            B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+            derived = derived_series(B).chain
+            assert derived == reference_derived_series(B)
+            members = set(derived) | set(chief_series(B).chain)
+            for upper in members:
+                for lower in members:
+                    got = abelian_step(B, upper, lower)
+                    assert got == reference_abelian_step(B, upper, lower), (sorted(upper), sorted(lower))
+                    verdicts.add(got)
+        if n in (8, 12, 16):
+            assert verdicts == {None, "is not an ideal of", "has a non-abelian quotient in"}
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_pairs_match_the_sub_brace_route(self, n):
+        # every subbrace U against every additive subgroup of B, inside U or
+        # not, and seeded subsets that are no subgroups, inside U and across it
+        rng = random.Random(n)
+        relative = set()
+        for entry in enumerate_braces(n):
+            B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+            for U in subbraces(B):
+                cases = subgroups(B.add)
+                for _ in range(3):
+                    cases.append(frozenset({0}) | frozenset(rng.sample(sorted(U), rng.randrange(len(U)))))
+                    cases.append(frozenset(rng.sample(range(n), rng.randint(1, n))))
+                for S in cases:
+                    flags = classify_within(B, U, S)
+                    assert flags == reference_classify_within(B, U, S), (sorted(U), sorted(S))
+                    assert abelian_step(B, U, S) == reference_abelian_step(B, U, S), (sorted(U), sorted(S))
+                    if flags.ideal:
+                        assert coset_partition(B, S, within=U) == reference_coset_partition(B, S, U)
+                    else:
+                        with pytest.raises(NotAnIdeal):
+                            coset_partition(B, S, within=U)
+                    relative.add((flags.ideal, classify_subset(B, S).ideal))
+        if n in (8, 12):
+            # some ideals of a subbrace are not ideals of B
+            assert (True, False) in relative
+
+    def test_whole_brace_is_classify_subset(self):
+        B = enumerate_braces(8)[5].brace
+        for S in subgroups(B.add):
+            assert classify_within(B, B.carrier(), S) is classify_subset(B, S)
+
+    def test_non_subbrace_ambient_raises(self):
+        B = trivial_brace(S3)
+        with pytest.raises(ValueError, match=r"^\[0, 1, 3\] is not a subbrace$"):
+            classify_within(B, {0, 1, 3}, ZERO)
+        with pytest.raises(ValueError, match=r"^\[0, 1, 3\] is not a subbrace$"):
+            abelian_step(B, frozenset({0, 1, 3}), ZERO)
+
+    def test_lower_outside_upper_is_not_an_ideal(self):
+        # on C4 the subbrace {0, 2} does not hold 1
+        B = trivial_brace(cyclic(4))
+        assert abelian_step(B, frozenset({0, 2}), frozenset({0, 1})) == "is not an ideal of"
+        assert classify_within(B, {0, 2}, {0, 1}) == (False, False, False)
 
 
 class TestMaximalSubbracesAndFrattini:

@@ -272,6 +272,17 @@ class TestCosetPartition:
         local = sub_brace(B, within).to_local(I)
         assert str(info.value) == f"{sorted(local)} is not an ideal"
 
+    def test_ideal_leaving_the_subbrace_raises(self):
+        # on C4 the subbrace {0, 2} does not hold 1, which has no label inside it
+        B = trivial_brace(cyclic(4))
+        with pytest.raises(NotAnIdeal, match=r"^\[0, 1\] is not inside the subbrace \[0, 2\]$"):
+            coset_partition(B, {0, 1}, within={0, 2})
+
+    def test_non_subbrace_within_raises(self):
+        B = trivial_brace(cyclic(4))
+        with pytest.raises(ValueError, match=r"^\[0, 1\] is not a subbrace$"):
+            coset_partition(B, ZERO, within={0, 1})
+
 
 class TestMultidecomposition:
     def test_abelian_one_level(self):
@@ -426,6 +437,19 @@ class TestEmbedded:
         with pytest.raises(EmbeddingIncompatible) as info:
             embedded_multidecomposition(solution_from_brace(B), {0, 2}, B, embed, series)
         assert info.value.witness == point and "not an int" in str(info.value)
+
+    @pytest.mark.parametrize("X", [{0, 1.0}, {0, True}, {0, 4}, {-1, 0}])
+    def test_point_outside_the_ground_set_rejected(self, X):
+        # 1.0 and True compare equal to the point 1, but are not points
+        B, series = z4_two_step_series()
+        with pytest.raises(EmbeddingIncompatible, match="^X must be a non-empty subset of the ground set$"):
+            embedded_multidecomposition(solution_from_brace(B), X, B, range(4), series)
+
+    @pytest.mark.parametrize("embed", [[0, 4, 2, 3], [0, -1, 2, 3]])
+    def test_image_outside_the_carrier_rejected(self, embed):
+        B, series = z4_two_step_series()
+        with pytest.raises(EmbeddingIncompatible, match="^embedding leaves the brace carrier$"):
+            embedded_multidecomposition(solution_from_brace(B), {0, 1}, B, embed, series)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_reference_on_census(self, n):
