@@ -13,7 +13,12 @@ decides it for U on U's: the elements that pass are a subgroup of U, so
 passing on U's generators is passing on all of U.  That gives the ideals of
 U (braces.classify_within), the least ideal of U holding a set of
 commutators (_commutator_ideal), and whether U modulo an ideal is abelian
-(abelian_step).
+(abelian_step).  A chief factor over L is found and classified in B's
+lattices over L (_minimal_ideals, _maximal_subbraces): by correspondence
+(Guarnieri-Vendramin, Math. Comp. 2017) the ideals and subbraces of B/L are
+those of B that hold L.  Only annihilator_quotient_test builds a quotient
+brace: Ann(B/J) is the side of its equivalence checked against [I, B], so it
+stays a separate computation.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from typing import Iterator, Sequence
 
 from .braces import (
     SkewBrace,
+    _left_cosets,
     _subbraces,
     _subgroup_flags,
     annihilator,
@@ -64,13 +70,14 @@ def _all_ideals(B: SkewBrace) -> list[frozenset[int]]:
 def minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
     """Non-zero ideals containing no other non-zero ideal; filtered once per B."""
     check_bound("group order", B.order, enumeration_bound())
-    return list(_minimal_ideals(B))
+    return list(_minimal_ideals(B, ZERO))
 
 
 @memoised
-def _minimal_ideals(B: SkewBrace) -> list[frozenset[int]]:
-    nonzero = [I for I in _all_ideals(B) if I != ZERO]
-    return [I for I in nonzero if not any(J < I for J in nonzero)]
+def _minimal_ideals(B: SkewBrace, lower: frozenset[int]) -> list[frozenset[int]]:
+    """The ideals above lower with no ideal between: the minimal ideals of B/lower, pulled back."""
+    above = [I for I in _all_ideals(B) if lower < I]
+    return [I for I in above if not any(J < I for J in above)]
 
 
 def maximal_ideals(B: SkewBrace) -> list[frozenset[int]]:
@@ -264,18 +271,18 @@ def chief_series_as_abelian(B: SkewBrace) -> SeriesWitness:
 def all_chief_series(B: SkewBrace) -> Iterator[SeriesWitness]:
     """Every chief series of B (descending witnesses), lazily, depth first.
 
-    Each level tries the minimal ideals of the current quotient in canonical
-    order (by size, then members), so the first series always picks the least.
+    Each level tries the minimal ideals over the current member, those of the
+    quotient by it, in canonical order (by size, then members): the least first.
     """
+    check_bound("group order", B.order, enumeration_bound())
     carrier = B.carrier()
 
     def ascend(acc: list[frozenset[int]]) -> Iterator[SeriesWitness]:
         if acc[-1] == carrier:
             yield SeriesWitness(tuple(reversed(acc)))
             return
-        q = quotient(B, acc[-1])
-        for pick in minimal_ideals(q.brace):
-            yield from ascend(acc + [q.preimage(pick)])
+        for pick in _minimal_ideals(B, acc[-1]):
+            yield from ascend(acc + [pick])
 
     return ascend([ZERO])
 
@@ -292,23 +299,21 @@ def chief_series(B: SkewBrace) -> SeriesWitness:
 def maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
     """Maximal elements of the proper-subbrace poset; filtered once per B."""
     check_bound("group order", B.order, enumeration_bound())
-    return list(_maximal_subbraces(B))
+    return list(_maximal_subbraces(B, ZERO))
 
 
 @memoised
-def _maximal_subbraces(B: SkewBrace) -> list[frozenset[int]]:
+def _maximal_subbraces(B: SkewBrace, lower: frozenset[int]) -> list[frozenset[int]]:
+    """The maximal proper subbraces holding the ideal lower: those of B/lower, pulled back."""
     carrier = B.carrier()
-    proper = [S for S in _subbraces(B) if S != carrier]
+    proper = [S for S in _subbraces(B) if lower <= S and S != carrier]
     return [S for S in proper if not any(S < T for T in proper)]
 
 
 def frattini(B: SkewBrace) -> frozenset[int]:
     """Intersection of all maximal subbraces; B itself when none exist."""
-    maxes = maximal_subbraces(B)
-    if not maxes:
-        return B.carrier()
     out = B.carrier()
-    for S in maxes:
+    for S in maximal_subbraces(B):
         out &= S
     return out
 
@@ -341,7 +346,7 @@ class ChiefFactorReport:
     abelian: bool
     kind: str  # "frattini" | "complemented" | "neither"
     p_elementary: int | None
-    complement_witness: frozenset[int] | None  # in B/lower coordinates
+    complement_witness: frozenset[int] | None  # the pullback's coset labels (braces._left_cosets)
     complement_pullback: frozenset[int] | None  # preimage in B
     complements_all_maximal: bool | None
 
@@ -358,49 +363,54 @@ class ChiefFactorReport:
         }
 
 
-def _elementary_abelian_prime(B: SkewBrace, members: frozenset[int]) -> int | None:
-    orders = {B.add.element_order(a) for a in members if a != 0}
-    if len(orders) != 1:
+def _elementary_abelian_prime(B: SkewBrace, lower: frozenset[int],
+                              upper: frozenset[int]) -> int | None:
+    """p when |upper/lower| is a power of the prime p and p a lies in lower for every a in upper."""
+    p, at = _prime_power(len(upper) // len(lower)), B.add.table
+    if p is None:
         return None
-    p = orders.pop()
-    return p if _prime_power(len(members)) == p else None
+    for a in upper:
+        x = a
+        for _ in range(p - 1):
+            x = at[x][a]
+        if x not in lower:
+            return None
+    return p
 
 
 def classify_chief_factor(B: SkewBrace, lower: frozenset[int],
                           upper: frozenset[int]) -> ChiefFactorReport:
     """Decide Frattini vs complemented for the chief factor upper/lower.
 
-    Works inside Q = B/lower.  An abelian factor that is neither Frattini nor
-    complemented contradicts the theory and raises InternalInvariant, as does
-    a complement that is not a maximal subbrace.
+    Decided in B's lattices over lower, which are B/lower's by correspondence:
+    lower must be an ideal and upper in _minimal_ideals(B, lower), else
+    NotAnIdeal.  The witness labels the cosets of the least complement, the
+    least in B/lower too, since labels increase with least elements.  An
+    abelian factor neither Frattini nor complemented contradicts the theory
+    and raises InternalInvariant, as does a non-maximal complement.
     """
-    q = quotient(B, lower)
-    U = q.image(upper)
-    if U not in minimal_ideals(q.brace):
+    check_bound("group order", B.order, enumeration_bound())
+    lower, upper = frozenset(lower), frozenset(upper)
+    require_ideal(B, lower)
+    if upper not in _minimal_ideals(B, lower):
         raise NotAnIdeal("upper/lower is not a chief factor")
-    if abelian_step(q.brace, U, ZERO):
+    if abelian_step(B, upper, lower):
         return ChiefFactorReport(lower, upper, False, "neither", None, None, None, None)
-    p = _elementary_abelian_prime(q.brace, U)
-    if U <= frattini(q.brace):
+    p = _elementary_abelian_prime(B, lower, upper)
+    maxes = _maximal_subbraces(B, lower)
+    if all(upper <= S for S in maxes):
         return ChiefFactorReport(lower, upper, True, "frattini", p, None, None, None)
-    carrier = q.brace.carrier()
-    complements = []
-    for T in subbraces(q.brace):
-        if U & T != ZERO:
-            continue
-        prod = frozenset(q.brace.times(u, t) for u in U for t in T)
-        added = frozenset(q.brace.plus(u, t) for u in U for t in T)
-        if prod == carrier and added == carrier:
-            complements.append(T)
+    # upper is normal in (B, +) and (B, .): upper + T and upper T have order |upper| |T| / |upper & T|
+    complements = [T for T in _subbraces(B)
+                   if upper & T == lower and len(upper) * len(T) == B.order * len(lower)]
     if not complements:
         raise InternalInvariant("abelian chief factor neither Frattini nor complemented")
-    maxes = maximal_subbraces(q.brace)
-    all_maximal = all(T in maxes for T in complements)
-    if not all_maximal:
+    if not all(T in maxes for T in complements):
         raise InternalInvariant("a complement of a chief factor is not maximal")
-    witness = min(complements, key=subset_key)
+    pullback = min(complements, key=subset_key)
+    labels = _left_cosets(B.add.table, lambda row: [row[x] for x in lower])[0]
     return ChiefFactorReport(lower, upper, True, "complemented", p,
-                             witness, q.preimage(witness), all_maximal)
+                             frozenset(labels[t] for t in pullback), pullback, True)
 
 
 @dataclass(frozen=True)
@@ -516,9 +526,8 @@ def verify_maximal_subbrace_dichotomy(B: SkewBrace, S: frozenset[int]) -> Maxima
     if not classify_subset(B, S).ideal:
         raise TheoremViolation("maximal subbrace avoiding the annihilator is not an ideal",
                                sorted(S), B)
-    q = quotient(B, S).brace
-    good = q.is_abelian and _prime_power(q.order) == q.order
-    if not good:
+    index = B.order // len(S)
+    if abelian_step(B, B.carrier(), S) or _prime_power(index) != index:
         raise TheoremViolation("quotient by the maximal subbrace is not prime abelian",
                                sorted(S), B)
     if not derived_ideal(B) <= S:

@@ -45,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .braces import SkewBrace, classify_within, quotient
+from .braces import SkewBrace, classify_within
 from .errors import (
     BoundExceeded,
     BraidFailed,
@@ -584,9 +584,9 @@ def ideal_coset_decomposition(B: SkewBrace, I: Iterable[int]) -> Partition:
     ideal = frozenset(I)
     if ideal == B.carrier():
         raise ValueError("the ideal must be proper")
-    if not quotient(B, ideal).brace.is_abelian:
+    partition = coset_partition(B, ideal)  # NotAnIdeal on a non-ideal
+    if abelian_step(B, B.carrier(), ideal):
         raise QuotientNotAbelian(f"quotient by {sorted(ideal)} is not abelian")
-    partition = coset_partition(B, ideal)
     solution = solution_from_brace(B)
     ok, witness = is_partition_decomposable(solution, partition)
     if not ok or not partition.uniform:

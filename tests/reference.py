@@ -15,22 +15,36 @@ from braceforge.braces import (
     quotient,
     star,
     sub_brace,
+    subbraces,
     validate_brace,
 )
 from braceforge.catalog import cyclic, dicyclic, dihedral, direct_product_group
+from braceforge.errors import NotAnIdeal
 from braceforge.groups import (
     FiniteGroup,
     RegularSubgroup,
     _group_unchecked,
     _hom_from_generator_images,
     _irredundant,
+    _prime_power,
     compose,
     group_isomorphism,
     grow_closure,
     pair_pool,
+    subset_key,
     validate_group,
 )
-from braceforge.structure import ZERO, abelian_step, all_ideals, derived_ideal
+from braceforge.structure import (
+    ZERO,
+    ChiefFactorReport,
+    SeriesWitness,
+    abelian_step,
+    all_ideals,
+    derived_ideal,
+    frattini,
+    maximal_subbraces,
+    minimal_ideals,
+)
 from braceforge.ybe import make_partition
 
 
@@ -379,6 +393,52 @@ def all_abelian_series(B: SkewBrace) -> list[tuple[frozenset[int], ...]]:
         return out
 
     return chains_from(B.carrier())
+
+
+def reference_all_chief_series(B: SkewBrace):
+    """Every chief series, depth first: each level pulls back the minimal ideals of the quotient brace by its member."""
+    carrier = B.carrier()
+
+    def ascend(acc):
+        if acc[-1] == carrier:
+            yield SeriesWitness(tuple(reversed(acc)))
+            return
+        q = quotient(B, acc[-1])
+        for pick in minimal_ideals(q.brace):
+            yield from ascend(acc + [q.preimage(pick)])
+
+    return ascend([ZERO])
+
+
+def reference_classify_chief_factor(B: SkewBrace, lower: frozenset, upper: frozenset) -> ChiefFactorReport:
+    """The chief factor upper/lower classified inside the quotient brace Q = B/lower, on Q's own lattices."""
+    q = quotient(B, lower)
+    U = q.image(upper)
+    if U not in minimal_ideals(q.brace):
+        raise NotAnIdeal("upper/lower is not a chief factor")
+    if abelian_step(q.brace, U, ZERO):
+        return ChiefFactorReport(lower, upper, False, "neither", None, None, None, None)
+    orders = {q.brace.add.element_order(a) for a in U if a != 0}
+    p = orders.pop() if len(orders) == 1 else None
+    p = p if p is not None and _prime_power(len(U)) == p else None
+    if U <= frattini(q.brace):
+        return ChiefFactorReport(lower, upper, True, "frattini", p, None, None, None)
+    carrier = q.brace.carrier()
+    complements = []
+    for T in subbraces(q.brace):
+        if U & T != ZERO:
+            continue
+        prod = frozenset(q.brace.times(u, t) for u in U for t in T)
+        added = frozenset(q.brace.plus(u, t) for u in U for t in T)
+        if prod == carrier and added == carrier:
+            complements.append(T)
+    assert complements, "abelian chief factor neither Frattini nor complemented"
+    maxes = maximal_subbraces(q.brace)
+    all_maximal = all(T in maxes for T in complements)
+    assert all_maximal, "a complement of a chief factor is not maximal"
+    witness = min(complements, key=subset_key)
+    return ChiefFactorReport(lower, upper, True, "complemented", p,
+                             witness, q.preimage(witness), all_maximal)
 
 
 def reference_quotient(B: SkewBrace, ideal: frozenset) -> Quotient:

@@ -23,6 +23,7 @@ from braceforge.errors import BoundExceeded, NotAnIdeal, SeriesInvalid
 from braceforge.groups import FiniteGroup, subgroups, validate_group
 from braceforge.structure import (
     SeriesWitness,
+    abelian_step,
     all_ideals,
     annihilator_quotient_test,
     chief_series,
@@ -32,10 +33,12 @@ from braceforge.structure import (
     is_soluble,
     maximal_subbraces,
     minimal_ideals,
+    verify_maximal_subbrace_dichotomy,
     verify_soluble_chief_factors,
 )
 from braceforge.ybe import (
     embedded_multidecomposition,
+    ideal_coset_decomposition,
     multidecomposition_from_series,
     r_closed_subsets,
     solution_from_brace,
@@ -272,7 +275,9 @@ def test_whole_brace_is_not_copied(monkeypatch):
 
 
 def test_series_path_builds_no_derived_brace(monkeypatch, census8):
-    # derived_series and the first embedding decide each step in B's own tables
+    # derived_series, the first embedding, every chief series with its factors,
+    # scope C's checks and the maximal-subbrace dichotomy decide each step in
+    # B's own tables
     calls = []
     original = braces._derived_brace
 
@@ -289,7 +294,15 @@ def test_series_path_builds_no_derived_brace(monkeypatch, census8):
         solution = solution_from_brace(fresh)
         X = next(X for X in r_closed_subsets(solution) if X & series.chain[-2])
         embedded_multidecomposition(solution, X, fresh, range(fresh.order), series)
-    assert steps > len(census8) and calls == []
+        steps += len(verify_soluble_chief_factors(fresh, exhaustive=True).factor_reports)
+        multidecomposition_from_series(fresh, series)
+        for ideal in all_ideals(fresh):
+            if ideal != fresh.carrier() and not abelian_step(fresh, fresh.carrier(), ideal):
+                ideal_coset_decomposition(fresh, ideal)
+                steps += 1
+        for S in maximal_subbraces(fresh):
+            verify_maximal_subbrace_dichotomy(fresh, S)
+    assert steps > 3 * len(census8) and calls == []
 
 
 @pytest.mark.parametrize("fn", [all_ideals, minimal_ideals, maximal_subbraces])

@@ -27,6 +27,7 @@ from braceforge.groups import subgroups
 from braceforge.structure import (
     ZERO,
     abelian_step,
+    all_chief_series,
     all_ideals,
     annihilator_quotient_test,
     chief_series,
@@ -54,6 +55,8 @@ from reference import (
     ORDER_16,
     all_abelian_series,
     reference_abelian_step,
+    reference_all_chief_series,
+    reference_classify_chief_factor,
     reference_classify_within,
     reference_coset_partition,
     reference_derived_series,
@@ -373,6 +376,54 @@ class TestClassifyChiefFactor:
         B = trivial_brace(cyclic(4))
         with pytest.raises(NotAnIdeal):
             classify_chief_factor(B, ZERO, B.carrier())
+
+    def test_rejects_upper_not_above_lower(self):
+        # {0, 1} and {0, 2} are ideals of C2 x C2, and {0, 2} does not hold {0, 1}
+        B = trivial_brace(direct_product_group(cyclic(2), cyclic(2)))
+        assert all(classify_subset(B, S).ideal for S in ({0, 1}, {0, 2}))
+        with pytest.raises(NotAnIdeal):
+            classify_chief_factor(B, frozenset({0, 1}), frozenset({0, 2}))
+
+    def test_rejects_non_ideal_lower(self):
+        B = trivial_brace(S3)
+        with pytest.raises(NotAnIdeal):
+            classify_chief_factor(B, frozenset({0, 1}), B.carrier())
+
+
+class TestChiefFactorsByCorrespondence:
+    """Chief series and factors decided in B's lattices agree with the quotient-brace route they replace."""
+
+    @staticmethod
+    def check_factors(B, witness):
+        kinds = set()
+        for upper, lower in zip(witness.chain, witness.chain[1:]):
+            got = classify_chief_factor(B, lower, upper)
+            assert got == reference_classify_chief_factor(B, lower, upper), (sorted(lower), sorted(upper))
+            if got.kind == "complemented":
+                assert got.complement_witness == quotient(B, lower).image(got.complement_pullback)
+            kinds.add(got.kind)
+        return kinds
+
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_every_chief_series_matches_the_quotient_route(self, n):
+        kinds = set()
+        for entry in enumerate_braces(n):
+            B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+            series = list(all_chief_series(B))
+            assert series == list(reference_all_chief_series(B))
+            for witness in series:
+                kinds |= self.check_factors(B, witness)
+        if n in (8, 12):
+            assert {"frattini", "complemented"} <= kinds
+
+    def test_order_16_chief_series_match_the_quotient_route(self):
+        kinds = set()
+        for entry in enumerate_braces(16, extra_groups=ORDER_16):
+            B = validate_brace(entry.brace.add.table, entry.brace.mul.table)
+            witness = chief_series(B)
+            assert witness == next(reference_all_chief_series(B))
+            kinds |= self.check_factors(B, witness)
+        assert {"frattini", "complemented"} <= kinds
 
 
 class TestNoProperSubbraces:

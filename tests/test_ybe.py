@@ -373,6 +373,12 @@ class TestIdealCosetDecomposition:
         with pytest.raises(QuotientNotAbelian):
             ideal_coset_decomposition(trivial_brace(S3), ZERO)
 
+    def test_non_ideal_rejected(self):
+        # {0, 1} is a subgroup of S3 that is not normal
+        B = trivial_brace(S3)
+        with pytest.raises(NotAnIdeal, match=r"^\[0, 1\] is not an ideal$"):
+            ideal_coset_decomposition(B, frozenset({0, 1}))
+
 
 class TestEmbedded:
     def test_identity_embedding_matches_series_route(self):
